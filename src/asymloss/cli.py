@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -51,7 +52,7 @@ from .errors import (
     NumericError,
     RangeError,
 )
-from .inequalities import MARGIN_TOL, sweep, sweep_eq1
+from .inequalities import MARGIN_TOL, InequalityReport, sweep, sweep_eq1
 from .loss_model import LossParams, expected_loss, loss, variance_of_loss
 from .montecarlo import estimate_loss_stats
 from .solver import savings_report
@@ -73,6 +74,11 @@ SIGN_TEST_HARD_P = 1e-3
 SIGN_TEST_WARN_P = 5e-2
 
 _MC_SIGMAS = 5.0
+
+# Most rows a verify grid may have (distributions x points, or a values x
+# x count).  Every row is held in memory as a report before the CSV is
+# written, so larger grids are refused before anything is allocated.
+MAX_GRID_ROWS = 10**6
 
 
 class CliInputError(ValueError):
@@ -137,6 +143,11 @@ def parse_dist_spec(spec: str) -> ErrorDistribution:
     return _build_dist(family, values)
 
 
+def _check_grid_size(rows: int):
+    if rows > MAX_GRID_ROWS:
+        raise CliInputError(f"grid has {rows} rows; at most {MAX_GRID_ROWS} are allowed")
+
+
 def _parse_float_list(text: str, what: str) -> list:
     try:
         return [float(v) for v in text.split(",") if v != ""]
@@ -171,9 +182,11 @@ def parse_grid_spec(spec: str):
         x_parts = _parse_float_list(fields["x"], "x")
         if len(x_parts) != 3 or x_parts[0] <= 0 or x_parts[1] <= x_parts[0]:
             raise CliInputError("eq1 x field must be lo,hi,count with 0 < lo < hi")
-        count = int(x_parts[2])
-        if count < 2 or count != x_parts[2]:
+        count = x_parts[2]
+        if not (math.isfinite(count) and count >= 2 and count == int(count)):
             raise CliInputError("eq1 x count must be an integer >= 2")
+        count = int(count)
+        _check_grid_size(len(a_values) * count)
         return sweep_eq1(a_values, np.geomspace(x_parts[0], x_parts[1], count))
 
     if head not in _FAMILY_KEYS:
@@ -202,6 +215,7 @@ def parse_grid_spec(spec: str):
         raise CliInputError("points must be >= 2")
     if not (math.isfinite(span) and span > 0):
         raise CliInputError("span must be a positive real")
+    _check_grid_size(len(dists) * points)
     return sweep(dists, n_points=points, span=span)
 
 
@@ -449,18 +463,7 @@ def cmd_analyze(cfg: AnalysisConfig) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-_CSV_COLUMNS = (
-    "dist_id",
-    "x",
-    "alpha",
-    "beta",
-    "s_extremal",
-    "s_tail",
-    "gamma_slack",
-    "eq1_lhs",
-    "margin",
-    "passed",
-)
+_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(InequalityReport))
 
 
 def _csv_cell(value):
@@ -471,7 +474,7 @@ def _csv_cell(value):
 
 def cmd_verify(args) -> int:
     reports = parse_grid_spec(args.grid)
-    rows = [[_csv_cell(r.to_dict()[col]) for col in _CSV_COLUMNS] for r in reports]
+    rows = [[_csv_cell(getattr(r, col)) for col in _CSV_COLUMNS] for r in reports]
     if args.out:
         fh = open(args.out, "w", newline="", encoding="utf-8")
     else:

@@ -25,19 +25,29 @@ multiple of the incomplete-gamma expression
 which is exposed separately (``ggd_inequality_lhs``) and evaluated in a
 factored form that avoids the catastrophic cancellation of the textbook
 arrangement in the far tail.
+
+Every certificate takes a scalar point or an array of points and returns
+a float or an array of the same shape, from one body: a sweep builds one
+moment table per distribution and evaluates its whole grid in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import specfun
-from .distributions import ErrorDistribution, GeneralizedGaussian, MomentTable
-from .errors import DomainError, RangeError
+from .distributions import (
+    ErrorDistribution,
+    GeneralizedGaussian,
+    MomentTable,
+    _scalar_or_array,
+    _table_for,
+)
+from .errors import RangeError
 
 __all__ = [
     "MARGIN_TOL",
@@ -56,18 +66,7 @@ __all__ = [
 MARGIN_TOL = 1e-9
 
 
-def _table_for(dist, x, table):
-    x = float(x)
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"x must be finite and >= 0, got {x!r}")
-    if table is None:
-        return dist.partial_moments(x)
-    if table.x != x:
-        raise DomainError(f"moment table was built at x={table.x}, not {x}")
-    return table
-
-
-def alpha(dist: ErrorDistribution, x, *, table: MomentTable | None = None) -> float:
+def alpha(dist: ErrorDistribution, x, *, table: MomentTable | None = None):
     """4 gamma(x) S_f(x) - x/2 + 2 x gamma(x)^2; non-negative under the
     shape assumptions, zero exactly for uniform errors (and at x = 0).
 
@@ -88,7 +87,7 @@ def alpha(dist: ErrorDistribution, x, *, table: MomentTable | None = None) -> fl
     return 2.0 * excess - 2.0 * u0 * (u1 + excess)
 
 
-def beta(dist: ErrorDistribution, x, *, table: MomentTable | None = None) -> float:
+def beta(dist: ErrorDistribution, x, *, table: MomentTable | None = None):
     """The variance-gap kernel: (Var[L(Z)] - Var[L(Z+C)]) / (k1+k2)^2 at
     x = |C|.  beta(0) = 0 identically.
 
@@ -111,11 +110,11 @@ def beta(dist: ErrorDistribution, x, *, table: MomentTable | None = None) -> flo
     )
 
 
-def d_beta(dist: ErrorDistribution, x, *, table: MomentTable | None = None) -> float:
+def d_beta(dist: ErrorDistribution, x, *, table: MomentTable | None = None):
     """Derivative of beta; decomposes as alpha(x) plus two manifestly
     non-negative density terms, which is the whole point of alpha."""
     t = _table_for(dist, x, table)
-    f = float(dist.pdf(t.x))
+    f = dist.pdf(t.x)
     return alpha(dist, t.x, table=t) + 2.0 * f * t.lower[2] + 2.0 * t.x * f * t.upper[1]
 
 
@@ -139,35 +138,31 @@ def extremal_bound(dist: ErrorDistribution, x, *, table: MomentTable | None = No
     When f(x) = 0 the tail is empty and both sides collapse to 0.
     """
     t = _table_for(dist, x, table)
-    f = float(dist.pdf(t.x))
-    if f <= 0.0:
-        return ExtremalBound(s_extremal=0.0, s_tail=t.upper[1])
+    f = np.asarray(dist.pdf(t.x))
     rest = t.upper[0]  # remaining tail mass 1/2 - gamma, uncancelled
-    s_u = t.x * rest + rest * rest / (2.0 * f)
-    return ExtremalBound(s_extremal=s_u, s_tail=t.upper[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_u = np.where(f > 0.0, t.x * rest + rest * rest / (2.0 * f), 0.0)
+    return ExtremalBound(s_extremal=_scalar_or_array(s_u), s_tail=t.upper[1])
 
 
-def ggd_inequality_lhs(a, x) -> float:
-    """The incomplete-gamma inequality kernel at shape a > 0, point x > 0.
+def ggd_inequality_lhs(a, x):
+    """The incomplete-gamma inequality kernel at shape a > 0, point x > 0
+    (scalars or arrays, broadcast together).
 
     Evaluated as 2 g G2 - x^a G (Gamma(a) + g) with g = gamma(a, x),
     G = Gamma(a, x), G2 = Gamma(2a, x); algebraically identical to the
     direct form but stable when g is within an ulp of Gamma(a).
     """
-    a = float(a)
-    x = float(x)
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"a must be finite and > 0, got {a!r}")
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"x must be finite and > 0, got {x!r}")
+    a = specfun._as_array("a", a, positive=True)
+    x = specfun._as_array("x", x, positive=True)
     g = specfun.lower_incomplete(a, x)
     big_g = specfun.upper_incomplete(a, x)
     g2 = specfun.upper_incomplete(2.0 * a, x)
-    with np.errstate(over="ignore"):
-        value = 2.0 * g * g2 - (x ** a) * big_g * (specfun.gamma(a) + g)
-    if not math.isfinite(value):
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = 2.0 * g * g2 - np.float_power(x, a) * big_g * (specfun.gamma(a) + g)
+    if not np.all(np.isfinite(value)):
         raise RangeError(f"inequality kernel overflows float64 at a={a}, x={x}")
-    return float(value)
+    return _scalar_or_array(value)
 
 
 @dataclass(frozen=True)
@@ -191,18 +186,7 @@ class InequalityReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "dist_id": self.dist_id,
-            "x": self.x,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "s_extremal": self.s_extremal,
-            "s_tail": self.s_tail,
-            "gamma_slack": self.gamma_slack,
-            "eq1_lhs": self.eq1_lhs,
-            "margin": self.margin,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _dist_id(dist: ErrorDistribution) -> str:
@@ -210,34 +194,15 @@ def _dist_id(dist: ErrorDistribution) -> str:
     return f"{dist.kind}({inner})"
 
 
-def _finite_min(values) -> float:
-    finite = [v for v in values if not math.isnan(v)]
-    return min(finite)
-
-
-def _report_at(dist, dist_id, x) -> InequalityReport:
-    t = dist.partial_moments(x)
-    a_val = alpha(dist, x, table=t)
-    b_val = beta(dist, x, table=t)
-    bound = extremal_bound(dist, x, table=t)
-    gamma_slack = t.lower[0] - x * float(dist.pdf(x))
-    if isinstance(dist, GeneralizedGaussian) and x > 0.0:
-        eq1 = ggd_inequality_lhs(dist.a, (x / dist.b) ** (1.0 / dist.a))
-    else:
-        eq1 = math.nan
-    margin = _finite_min([a_val, b_val, bound.slack, gamma_slack, eq1])
-    return InequalityReport(
-        dist_id=dist_id,
-        x=float(x),
-        alpha=a_val,
-        beta=b_val,
-        s_extremal=bound.s_extremal,
-        s_tail=bound.s_tail,
-        gamma_slack=gamma_slack,
-        eq1_lhs=eq1,
-        margin=margin,
-        passed=margin >= -MARGIN_TOL,
-    )
+def _reports(dist_id, x, a_val, b_val, s_extremal, s_tail, gamma_slack, eq1):
+    """One InequalityReport per grid point x from its columns (arrays over
+    x, or scalars that every row shares).  The margin is the NaN-skipping
+    minimum of the slacks."""
+    columns = np.broadcast_arrays(x, a_val, b_val, s_extremal, s_tail, gamma_slack, eq1)
+    _, a_val, b_val, s_extremal, s_tail, gamma_slack, eq1 = columns
+    margin = np.fmin.reduce([a_val, b_val, s_tail - s_extremal, gamma_slack, eq1])
+    rows = zip(*(c.tolist() for c in (*columns, margin)))
+    return [InequalityReport(dist_id, *row, passed=row[-1] >= -MARGIN_TOL) for row in rows]
 
 
 def sweep(
@@ -260,9 +225,26 @@ def sweep(
         raise ValueError(f"span must be finite and > 0, got {span!r}")
     reports = []
     for dist in dists:
-        dist_id = _dist_id(dist)
-        for x in np.linspace(0.0, span * dist.scale, n_points):
-            reports.append(_report_at(dist, dist_id, float(x)))
+        x = np.linspace(0.0, span * dist.scale, n_points)
+        t = dist.partial_moments(x)
+        bound = extremal_bound(dist, x, table=t)
+        eq1 = np.full(x.shape, math.nan)
+        if isinstance(dist, GeneralizedGaussian):
+            inside = x > 0.0
+            # float_power for the reason given in GeneralizedGaussian._standardized
+            with np.errstate(over="ignore"):
+                X = np.float_power(x[inside] / dist.b, 1.0 / dist.a)
+            eq1[inside] = ggd_inequality_lhs(dist.a, X)
+        reports += _reports(
+            _dist_id(dist),
+            x,
+            alpha(dist, x, table=t),
+            beta(dist, x, table=t),
+            bound.s_extremal,
+            bound.s_tail,
+            t.lower[0] - x * dist.pdf(x),
+            eq1,
+        )
     return reports
 
 
@@ -273,25 +255,12 @@ def sweep_eq1(a_values, x_values) -> list[InequalityReport]:
     kernel value itself.
     """
     a_list = [float(a) for a in np.atleast_1d(a_values)]
-    x_list = [float(x) for x in np.atleast_1d(x_values)]
-    if not a_list or not x_list:
+    x = np.atleast_1d(np.asarray(x_values, dtype=float))
+    if not a_list or x.size == 0:
         raise ValueError("need at least one a and one x value")
+    nan = math.nan
     reports = []
     for a in a_list:
-        for x in x_list:
-            val = ggd_inequality_lhs(a, x)
-            reports.append(
-                InequalityReport(
-                    dist_id=f"eq1(a={a:g})",
-                    x=x,
-                    alpha=math.nan,
-                    beta=math.nan,
-                    s_extremal=math.nan,
-                    s_tail=math.nan,
-                    gamma_slack=math.nan,
-                    eq1_lhs=val,
-                    margin=val,
-                    passed=val >= -MARGIN_TOL,
-                )
-            )
+        eq1 = ggd_inequality_lhs(a, x)
+        reports += _reports(f"eq1(a={a:g})", x, nan, nan, nan, nan, nan, eq1)
     return reports

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ErrorDistribution, MomentTable
+from .distributions import ErrorDistribution, _split_point, _table_for
 from .errors import DomainError, RangeError
 
 __all__ = [
@@ -81,17 +81,6 @@ def loss(z, params: LossParams):
     return float(out) if out.ndim == 0 else out
 
 
-def _table_for(dist: ErrorDistribution, c: float, table: MomentTable | None) -> MomentTable:
-    x = abs(float(c))
-    if table is None:
-        return dist.partial_moments(x)
-    if table.x != x:
-        raise DomainError(
-            f"moment table was built at x={table.x}, but |c|={x} is required"
-        )
-    return table
-
-
 def expected_loss(dist: ErrorDistribution, params: LossParams, c, *, table=None) -> float:
     """E[L(Z + c)] for a scalar offset c.
 
@@ -99,7 +88,7 @@ def expected_loss(dist: ErrorDistribution, params: LossParams, c, *, table=None)
     avoids recomputing the partial moments.
     """
     c = float(c)
-    t = _table_for(dist, c, table)
+    t = _table_for(dist, abs(c), table)
     x = abs(c)
     ks, kd = params.k_sum, params.k_diff
     value = ks * t.upper[1] + 0.5 * c * kd + x * ks * t.lower[0]
@@ -111,7 +100,7 @@ def expected_loss(dist: ErrorDistribution, params: LossParams, c, *, table=None)
 def expected_loss_sq(dist: ErrorDistribution, params: LossParams, c, *, table=None) -> float:
     """E[L(Z + c)^2] for a scalar offset c; needs a finite second moment."""
     c = float(c)
-    t = _table_for(dist, c, table)
+    t = _table_for(dist, abs(c), table)
     x = abs(c)
     s = _sgn(c)
     m2_half = t.total(2)  # integral_0^inf z^2 f(z) dz = E[Z^2] / 2
@@ -134,7 +123,7 @@ def variance_of_loss(dist: ErrorDistribution, params: LossParams, c, *, table=No
     parameter corners; it is returned unclamped.
     """
     c = float(c)
-    t = _table_for(dist, c, table)
+    t = _table_for(dist, abs(c), table)
     e = expected_loss(dist, params, c, table=t)
     e2 = expected_loss_sq(dist, params, c, table=t)
     return e2 - e * e
@@ -148,5 +137,9 @@ def d_expected_loss(dist: ErrorDistribution, params: LossParams, c, *, table=Non
     vanishes exactly at the critical fractile.
     """
     c = float(c)
-    t = _table_for(dist, c, table)
-    return 0.5 * params.k_diff + _sgn(c) * params.k_sum * t.lower[0]
+    if table is None:
+        # Only the order-0 lower moment is needed: skip the other five.
+        lower0 = float(dist._half_moment_below(0, _split_point(abs(c))))
+    else:
+        lower0 = _table_for(dist, abs(c), table).lower[0]
+    return 0.5 * params.k_diff + _sgn(c) * params.k_sum * lower0

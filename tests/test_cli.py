@@ -10,10 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from asymloss import Gaussian, Laplace
+from asymloss import Gaussian, Laplace, cli
 from asymloss.cli import (
     _CSV_COLUMNS,
     FIXED_CLOCK,
+    MAX_GRID_ROWS,
     SCHEMA_VERSION,
     AnalysisReport,
     CliInputError,
@@ -262,10 +263,35 @@ class TestVerify:
         "uniform:q=1",               # wrong key
         "gg:a=0.5;b=1;span=-1",      # bad span
         "uniform:",                  # empty body
+        "eq1:a=0.5;x=1e-3,20,inf",   # infinite count
+        "eq1:a=0.5;x=1e-3,20,nan",   # count not a number
     ])
     def test_bad_grids(self, grid, capsys):
         assert main(["verify", "--grid", grid]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("grid", [
+        "gg:a=0.5,1;b=1,2;points=250001",     # 4 distributions x 250001 points
+        "laplace:b=1;points=100000000000",
+        "eq1:a=0.5,1;x=1e-3,20,500001",
+    ])
+    def test_grid_size_cap(self, grid, capsys, monkeypatch):
+        # The cap is checked before any grid array exists.
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated before its size was checked")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(np, "geomspace", refuse)
+        assert main(["verify", "--grid", grid]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"at most {MAX_GRID_ROWS}" in err
+
+    def test_grid_size_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "sweep", lambda dists, n_points, span: [n_points * len(dists)])
+        monkeypatch.setattr(cli, "sweep_eq1", lambda a, x: [len(a) * x.size])
+        assert parse_grid_spec(f"laplace:b=1,2;points={MAX_GRID_ROWS // 2}") == [MAX_GRID_ROWS]
+        assert parse_grid_spec(f"eq1:a=1;x=1,2,{MAX_GRID_ROWS}") == [MAX_GRID_ROWS]
 
     def test_parse_grid_spec_returns_reports(self):
         reports = parse_grid_spec("laplace:b=1,2;points=10;span=4")
