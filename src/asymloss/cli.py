@@ -17,10 +17,10 @@ Three subcommands:
     series, apply the offset to the rest, and report realized costs
     under the corrected and uncorrected policies.
 
-Exit codes: 0 success; 1 malformed input (arguments, CSV, grid grammar);
-2 assumption failure (gross sign asymmetry, too little or degenerate
-data, empty test split); 3 numerical failure (cross-check disagreement,
-failed Monte Carlo verdict, violated inequality margin).
+Exit codes: 0 success; 1 malformed or unreadable input (arguments, files,
+CSV, grid grammar); 2 assumption failure (gross sign asymmetry, too little
+or degenerate data, empty test split); 3 numerical failure (cross-check
+disagreement, failed Monte Carlo verdict, violated inequality margin).
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -47,17 +48,16 @@ from .distributions import (
 from .errors import (
     CrossCheckError,
     DegenerateDistributionError,
-    DomainError,
     InsufficientDataError,
     NumericError,
     RangeError,
 )
 from .inequalities import MARGIN_TOL, InequalityReport, sweep, sweep_eq1
-from .loss_model import LossParams, expected_loss, loss, variance_of_loss
+from .loss_model import LossParams, loss
 from .montecarlo import estimate_loss_stats
 from .solver import savings_report
 
-__all__ = ["main", "AnalysisConfig", "AnalysisReport"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -89,58 +89,47 @@ class CliInputError(ValueError):
 # input parsing
 # ----------------------------------------------------------------------
 
-_FAMILY_KEYS = {
-    "gg": ("a", "b"),
-    "gauss": ("sigma",),
-    "laplace": ("b",),
-    "uniform": ("w",),
+# The parametric families by CLI name; each one's parameter keys are its
+# constructor's arguments.
+_FAMILIES = {
+    "gg": GeneralizedGaussian,
+    "gauss": Gaussian,
+    "laplace": Laplace,
+    "uniform": Uniform,
 }
 
 
-def _build_dist(family: str, values: dict) -> ErrorDistribution:
-    try:
-        if family == "gg":
-            return GeneralizedGaussian(values["a"], values["b"])
-        if family == "gauss":
-            return Gaussian(values["sigma"])
-        if family == "laplace":
-            return Laplace(values["b"])
-        if family == "uniform":
-            return Uniform(values["w"])
-    except DomainError as exc:
-        raise CliInputError(str(exc)) from exc
-    raise CliInputError(
-        f"unknown family {family!r}; expected one of {sorted(_FAMILY_KEYS)}"
-    )
+def _family_keys(family: str) -> tuple:
+    return tuple(inspect.signature(_FAMILIES[family]).parameters)
 
 
 def parse_dist_spec(spec: str) -> ErrorDistribution:
     """Parse 'gg:a=0.5,b=1' / 'gauss:sigma=2' / 'laplace:b=1' / 'uniform:w=1'."""
     family, sep, rest = spec.partition(":")
     family = family.strip()
-    if family not in _FAMILY_KEYS:
+    if family not in _FAMILIES:
         raise CliInputError(
-            f"unknown family {family!r}; expected one of {sorted(_FAMILY_KEYS)}"
+            f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}"
         )
     if not sep or not rest.strip():
         raise CliInputError(f"missing parameters in distribution spec {spec!r}")
+    keys = _family_keys(family)
     values = {}
     for item in rest.split(","):
         key, eq, val = item.partition("=")
         key = key.strip()
-        if not eq or key not in _FAMILY_KEYS[family]:
+        if not eq or key not in keys:
             raise CliInputError(
-                f"bad parameter {item!r} for family {family!r}; "
-                f"expected keys {_FAMILY_KEYS[family]}"
+                f"bad parameter {item!r} for family {family!r}; expected keys {keys}"
             )
         try:
             values[key] = float(val)
         except ValueError as exc:
             raise CliInputError(f"could not parse number in {item!r}") from exc
-    missing = [k for k in _FAMILY_KEYS[family] if k not in values]
+    missing = [k for k in keys if k not in values]
     if missing:
         raise CliInputError(f"missing parameters {missing} in spec {spec!r}")
-    return _build_dist(family, values)
+    return _FAMILIES[family](**values)
 
 
 def _check_grid_size(rows: int):
@@ -189,28 +178,21 @@ def parse_grid_spec(spec: str):
         _check_grid_size(len(a_values) * count)
         return sweep_eq1(a_values, np.geomspace(x_parts[0], x_parts[1], count))
 
-    if head not in _FAMILY_KEYS:
+    if head not in _FAMILIES:
         raise CliInputError(
-            f"unknown grid family {head!r}; expected eq1 or one of {sorted(_FAMILY_KEYS)}"
+            f"unknown grid family {head!r}; expected eq1 or one of {sorted(_FAMILIES)}"
         )
     try:
         points = int(fields.pop("points", 200))
         span = float(fields.pop("span", 10.0))
     except ValueError as exc:
         raise CliInputError("points/span must be numeric") from exc
-    keys = _FAMILY_KEYS[head]
+    keys = _family_keys(head)
     if set(fields) != set(keys):
         raise CliInputError(f"family {head!r} needs exactly the fields {keys}")
-    lists = {k: _parse_float_list(fields[k], k) for k in keys}
-    dists = []
-    if head == "gg":
-        for a in lists["a"]:
-            for b in lists["b"]:
-                dists.append(_build_dist("gg", {"a": a, "b": b}))
-    else:
-        (key,) = keys
-        for v in lists[key]:
-            dists.append(_build_dist(head, {key: v}))
+    lists = [_parse_float_list(fields[k], k) for k in keys]
+    # One distribution per combination, the first key varying slowest.
+    dists = [_FAMILIES[head](*values) for values in itertools.product(*lists)]
     if points < 2:
         raise CliInputError("points must be >= 2")
     if not (math.isfinite(span) and span > 0):
@@ -276,75 +258,6 @@ def _dump_json(payload: dict, out_path):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Everything cmd_analyze needs, normalized from argparse."""
-
-    k1: float
-    k2: float
-    dist_spec: str | None = None
-    input_path: str | None = None
-    mc_n: int = 200_000
-    seed: int = 0
-    grid_points: int = 200
-    span: float = 10.0
-    fixed_clock: bool = False
-    out_path: str | None = None
-
-    @classmethod
-    def from_args(cls, args) -> "AnalysisConfig":
-        if bool(args.dist) == bool(args.input):
-            raise CliInputError("provide exactly one of --dist or --input")
-        return cls(
-            k1=args.k1,
-            k2=args.k2,
-            dist_spec=args.dist,
-            input_path=args.input,
-            mc_n=args.mc_n,
-            seed=args.seed,
-            grid_points=args.grid_points,
-            span=args.span,
-            fixed_clock=args.fixed_clock,
-            out_path=args.out,
-        )
-
-
-@dataclass
-class AnalysisReport:
-    """The analyze subcommand's JSON payload, as a structured record."""
-
-    schema_version: int
-    command: str
-    generated_at: str
-    inputs: dict
-    distribution: dict
-    solution: dict
-    savings: dict
-    inequality_summary: dict
-    mc_checks: list
-    verdict: str
-    diagnostics: dict | None = field(default=None)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "generated_at": self.generated_at,
-            "inputs": self.inputs,
-            "distribution": self.distribution,
-            "solution": self.solution,
-            "savings": self.savings,
-            "inequality_summary": self.inequality_summary,
-            "mc_checks": self.mc_checks,
-            "verdict": self.verdict,
-            "diagnostics": self.diagnostics,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AnalysisReport":
-        return cls(**payload)
-
-
 def _mc_check(label, dist, params, c, analytic_mean, analytic_variance, n, seed) -> dict:
     est = estimate_loss_stats(dist, params, c, n, seed)
     mean_ok = abs(est.mean - analytic_mean) <= _MC_SIGMAS * est.std_error_mean
@@ -367,14 +280,13 @@ def _mc_check(label, dist, params, c, analytic_mean, analytic_variance, n, seed)
     }
 
 
-def cmd_analyze(cfg: AnalysisConfig) -> int:
+def cmd_analyze(args) -> int:
     diagnostics = None
-    if cfg.dist_spec is not None:
-        dist = parse_dist_spec(cfg.dist_spec)
+    if args.dist is not None:
+        dist = parse_dist_spec(args.dist)
     else:
-        errors = read_error_csv(cfg.input_path)
-        dist, diag = fit_empirical(errors)
-        diagnostics = diag.to_dict()
+        dist, diag = fit_empirical(read_error_csv(args.input))
+        diagnostics = dataclasses.asdict(diag)
         diagnostics["sign_warning"] = bool(diag.sign_pvalue < SIGN_TEST_WARN_P)
         if diag.sign_pvalue < SIGN_TEST_HARD_P:
             sys.stderr.write(
@@ -384,11 +296,13 @@ def cmd_analyze(cfg: AnalysisConfig) -> int:
             )
             return EXIT_ASSUMPTION
 
-    params = LossParams(cfg.k1, cfg.k2)
+    params = LossParams(args.k1, args.k2)
     report = savings_report(dist, params)
     sol = report.solution
+    savings = dataclasses.asdict(report)
+    solution = savings.pop("solution")
 
-    reports = sweep([dist], n_points=cfg.grid_points, span=cfg.span)
+    reports = sweep([dist], n_points=args.grid_points, span=args.span)
     worst = min(reports, key=lambda r: r.margin)
     sweep_ok = all(r.passed for r in reports)
     inequality_summary = {
@@ -407,8 +321,8 @@ def cmd_analyze(cfg: AnalysisConfig) -> int:
             0.0,
             sol.expected_at_zero,
             sol.variance_at_zero,
-            cfg.mc_n,
-            cfg.seed,
+            args.mc_n,
+            args.seed,
         ),
         _mc_check(
             "corrected",
@@ -417,41 +331,36 @@ def cmd_analyze(cfg: AnalysisConfig) -> int:
             sol.C,
             sol.expected_at_C,
             sol.variance_at_C,
-            cfg.mc_n,
-            cfg.seed + 1,
+            args.mc_n,
+            args.seed + 1,
         ),
     ]
     mc_ok = all(c["mean_ok"] and c["variance_ok"] for c in mc_checks)
 
     verdict = "ok" if (sweep_ok and mc_ok) else "numerical_check_failed"
-    payload = AnalysisReport(
-        schema_version=SCHEMA_VERSION,
-        command="analyze",
-        generated_at=_timestamp(cfg.fixed_clock),
-        inputs={
-            "dist": cfg.dist_spec,
-            "input": cfg.input_path,
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "analyze",
+        "generated_at": _timestamp(args.fixed_clock),
+        "inputs": {
+            "dist": args.dist,
+            "input": args.input,
             "k1": params.k1,
             "k2": params.k2,
-            "mc_n": cfg.mc_n,
-            "seed": cfg.seed,
-            "grid_points": cfg.grid_points,
-            "span": cfg.span,
+            "mc_n": args.mc_n,
+            "seed": args.seed,
+            "grid_points": args.grid_points,
+            "span": args.span,
         },
-        distribution=dist.describe(),
-        solution=sol.to_dict(),
-        savings={
-            "delta_expected": report.delta_expected,
-            "delta_variance": report.delta_variance,
-            "pct_expected": report.pct_expected,
-            "pct_variance": report.pct_variance,
-        },
-        inequality_summary=inequality_summary,
-        mc_checks=mc_checks,
-        verdict=verdict,
-        diagnostics=diagnostics,
-    ).to_dict()
-    _dump_json(payload, cfg.out_path)
+        "distribution": dist.describe(),
+        "solution": solution,
+        "savings": savings,
+        "inequality_summary": inequality_summary,
+        "mc_checks": mc_checks,
+        "verdict": verdict,
+        "diagnostics": diagnostics,
+    }
+    _dump_json(payload, args.out)
     sys.stderr.write(
         f"C={sol.C:.10g} expected {report.pct_expected:.2f}% lower, "
         f"variance {report.pct_variance:.2f}% lower; verdict={verdict}\n"
@@ -509,17 +418,15 @@ def _policy_stats(costs: np.ndarray) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    if bool(args.dist) == bool(args.input):
-        raise CliInputError("provide exactly one of --dist or --input")
-    if args.dist and not args.n:
+    if args.dist is not None and not args.n:
         raise CliInputError("--dist needs --n to size the synthetic series")
     if not (0.0 < args.train_frac < 1.0):
         raise CliInputError("--train-frac must lie strictly between 0 and 1")
 
-    if args.input:
-        errors = read_error_csv(args.input)
-    else:
+    if args.dist is not None:
         errors = parse_dist_spec(args.dist).sample(args.n, args.seed)
+    else:
+        errors = read_error_csv(args.input)
 
     n = errors.size
     n_train = int(n * args.train_frac)
@@ -539,7 +446,7 @@ def cmd_simulate(args) -> int:
         degenerate_train = True
         solution = None
     else:
-        diagnostics = diag.to_dict()
+        diagnostics = dataclasses.asdict(diag)
         if diag.sign_pvalue < SIGN_TEST_HARD_P:
             sys.stderr.write(
                 f"error: sign test rejects symmetric errors on the training "
@@ -572,7 +479,7 @@ def cmd_simulate(args) -> int:
         "n_test": int(test.size),
         "offset": float(offset),
         "degenerate_train": degenerate_train,
-        "fitted_solution": solution.to_dict() if solution else None,
+        "fitted_solution": dataclasses.asdict(solution) if solution else None,
         "policies": {"uncorrected": stats_un, "corrected": stats_co},
         "deltas": {
             "mean": stats_un["mean"] - stats_co["mean"],
@@ -609,8 +516,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="solve, price, and verify one configuration")
-    pa.add_argument("--dist", help="distribution spec, e.g. gg:a=0.5,b=1 or laplace:b=1")
-    pa.add_argument("--input", help="CSV of observed errors (header 'error' or 'y,yhat')")
+    source = pa.add_mutually_exclusive_group(required=True)
+    source.add_argument("--dist", help="distribution spec, e.g. gg:a=0.5,b=1 or laplace:b=1")
+    source.add_argument("--input", help="CSV of observed errors (header 'error' or 'y,yhat')")
     pa.add_argument("--k1", type=float, required=True, help="unit cost of overshoot")
     pa.add_argument("--k2", type=float, required=True, help="unit cost of undershoot")
     pa.add_argument("--mc-n", type=int, default=200_000, help="Monte Carlo sample size")
@@ -619,7 +527,7 @@ def _build_parser() -> _Parser:
     pa.add_argument("--span", type=float, default=10.0, help="sweep reach in scale units")
     pa.add_argument("--out", help="write the JSON report here instead of stdout")
     pa.add_argument("--fixed-clock", action="store_true", help="deterministic timestamp")
-    pa.set_defaults(func=lambda args: cmd_analyze(AnalysisConfig.from_args(args)))
+    pa.set_defaults(func=cmd_analyze)
 
     pv = sub.add_parser("verify", help="run an inequality sweep over a parameter grid")
     pv.add_argument(
@@ -631,8 +539,9 @@ def _build_parser() -> _Parser:
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("simulate", help="backtest the offset on held-out errors")
-    ps.add_argument("--dist", help="generate synthetic errors from this spec")
-    ps.add_argument("--input", help="CSV of observed errors")
+    source = ps.add_mutually_exclusive_group(required=True)
+    source.add_argument("--dist", help="generate synthetic errors from this spec")
+    source.add_argument("--input", help="CSV of observed errors")
     ps.add_argument("--n", type=int, help="synthetic series length (with --dist)")
     ps.add_argument("--k1", type=float, required=True)
     ps.add_argument("--k2", type=float, required=True)
@@ -649,12 +558,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliInputError, FileNotFoundError, DomainError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except (InsufficientDataError, DegenerateDistributionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ASSUMPTION
+    except (ValueError, OSError) as exc:
+        # After the clause above: both assumption errors are ValueErrors.
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT
     except (NumericError, CrossCheckError, RangeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC

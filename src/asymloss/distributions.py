@@ -26,15 +26,14 @@ comparable across families under a common seed.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, optimize
 from scipy import special as _sc
-from scipy import stats as _st
 
-from . import specfun
 from .errors import (
     DegenerateDistributionError,
     DomainError,
@@ -137,8 +136,10 @@ class ErrorDistribution:
         raise NotImplementedError
 
     def params(self) -> dict:
-        """Family parameters as a plain dict (for reports)."""
-        return {}
+        """Family parameters as a plain dict (for reports), one entry per
+        constructor argument, read back from the attribute of that name."""
+        names = inspect.signature(type(self)).parameters
+        return {name: getattr(self, name) for name in names}
 
     def _half_moment_below(self, k, x):
         """integral_0^x t^k f(t) dt for x >= 0; generic quadrature."""
@@ -304,12 +305,12 @@ class GeneralizedGaussian(ErrorDistribution):
         self.a = a
         self.b = b
         # The normalizing constant needs gamma(a) directly.
-        self._norm = 0.5 / (a * b * specfun.gamma(a))
+        gamma_a = float(_sc.gamma(a))
+        if not math.isfinite(gamma_a):
+            raise RangeError(f"gamma(a) overflows float64 at a={a!r}")
+        self._norm = 0.5 / (a * b * gamma_a)
         # Half-line moments of orders 0..2, needed by every moment table.
         self._totals = tuple(self._half_total(k) for k in range(3))
-
-    def params(self):
-        return {"a": self.a, "b": self.b}
 
     def _standardized(self, x):
         # X = (x/b)^(1/a); overflow to inf is fine (tail is then exactly 0/1).
@@ -329,8 +330,8 @@ class GeneralizedGaussian(ErrorDistribution):
         # integral_0^inf t^k f = b^k gamma((k+1)a) / (2 gamma(a))
         log_val = (
             k * math.log(self.b)
-            + specfun.log_gamma((k + 1.0) * self.a)
-            - specfun.log_gamma(self.a)
+            + _sc.gammaln((k + 1.0) * self.a)
+            - _sc.gammaln(self.a)
             - math.log(2.0)
         )
         try:
@@ -367,9 +368,6 @@ class Gaussian(ErrorDistribution):
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise DomainError(f"sigma must be a finite positive real, got {sigma!r}")
         self.sigma = sigma
-
-    def params(self):
-        return {"sigma": self.sigma}
 
     def pdf(self, x):
         x = _check_finite("x", x)
@@ -410,9 +408,6 @@ class Laplace(ErrorDistribution):
             raise DomainError(f"scale b must be a finite positive real, got {b!r}")
         self.b = b
 
-    def params(self):
-        return {"b": self.b}
-
     def pdf(self, x):
         x = _check_finite("x", x)
         return _scalar_or_array(np.exp(-np.abs(x) / self.b) / (2.0 * self.b))
@@ -451,9 +446,6 @@ class Uniform(ErrorDistribution):
         if not (math.isfinite(w) and w > 0.0):
             raise DomainError(f"half width w must be a finite positive real, got {w!r}")
         self.w = w
-
-    def params(self):
-        return {"w": self.w}
 
     def pdf(self, x):
         x = _check_finite("x", x)
@@ -586,18 +578,6 @@ class AssumptionDiagnostics:
     symmetric_input: bool
     monotonicity_violation_mass: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n_positive": self.n_positive,
-            "n_negative": self.n_negative,
-            "n_zero": self.n_zero,
-            "sign_statistic": self.sign_statistic,
-            "sign_pvalue": self.sign_pvalue,
-            "symmetric_input": self.symmetric_input,
-            "monotonicity_violation_mass": self.monotonicity_violation_mass,
-        }
-
 
 def fit_empirical(errors, *, min_observations=30):
     """Fit a symmetric decreasing density to observed errors.
@@ -642,7 +622,10 @@ def fit_empirical(errors, *, min_observations=30):
 
     n_signed = n_pos + n_neg
     sign_stat = (n_pos - n_neg) / math.sqrt(n_signed) if n_signed else 0.0
-    sign_p = float(_st.binomtest(n_pos, n_signed, 0.5).pvalue) if n_signed else 1.0
+    # Exact two-sided sign test at p = 1/2: twice the binomial tail of the
+    # rarer sign, P(X <= m) = I_1/2(n - m, m + 1), and 1 when the signs tie.
+    m = min(n_pos, n_neg)
+    sign_p = 1.0 if n_pos == n_neg else min(1.0, 2.0 * _sc.betainc(n_signed - m, m + 1, 0.5))
 
     pos_sorted = np.sort(z[z > 0.0])
     neg_sorted = np.sort(-z[z < 0.0])

@@ -34,12 +34,12 @@ moment table per distribution and evaluates its whole grid in one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy import special as _sc
 
-from . import specfun
 from .distributions import (
     ErrorDistribution,
     GeneralizedGaussian,
@@ -47,7 +47,7 @@ from .distributions import (
     _scalar_or_array,
     _table_for,
 )
-from .errors import RangeError
+from .errors import DomainError, RangeError
 
 __all__ = [
     "MARGIN_TOL",
@@ -153,13 +153,18 @@ def ggd_inequality_lhs(a, x):
     G = Gamma(a, x), G2 = Gamma(2a, x); algebraically identical to the
     direct form but stable when g is within an ulp of Gamma(a).
     """
-    a = specfun._as_array("a", a, positive=True)
-    x = specfun._as_array("x", x, positive=True)
-    g = specfun.lower_incomplete(a, x)
-    big_g = specfun.upper_incomplete(a, x)
-    g2 = specfun.upper_incomplete(2.0 * a, x)
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if not (np.all(np.isfinite(a) & (a > 0.0)) and np.all(np.isfinite(x) & (x > 0.0))):
+        raise DomainError(f"a and x must be finite and > 0, got a={a}, x={x}")
+    # gamma overflows float64 for a > 171.6; the inf (or inf * 0 = nan)
+    # then fails the finiteness gate below.
     with np.errstate(over="ignore", invalid="ignore"):
-        value = 2.0 * g * g2 - np.float_power(x, a) * big_g * (specfun.gamma(a) + g)
+        gamma_a = _sc.gamma(a)
+        g = gamma_a * _sc.gammainc(a, x)
+        big_g = gamma_a * _sc.gammaincc(a, x)
+        g2 = _sc.gamma(2.0 * a) * _sc.gammaincc(2.0 * a, x)
+        value = 2.0 * g * g2 - np.float_power(x, a) * big_g * (gamma_a + g)
     if not np.all(np.isfinite(value)):
         raise RangeError(f"inequality kernel overflows float64 at a={a}, x={x}")
     return _scalar_or_array(value)
@@ -184,9 +189,6 @@ class InequalityReport:
     eq1_lhs: float
     margin: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _dist_id(dist: ErrorDistribution) -> str:

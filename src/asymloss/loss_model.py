@@ -70,9 +70,6 @@ class LossParams:
         """The CDF level k2/(k1+k2) at which expected loss is minimized."""
         return self.k2 / (self.k1 + self.k2)
 
-    def to_dict(self) -> dict:
-        return {"k1": self.k1, "k2": self.k2}
-
 
 def loss(z, params: LossParams):
     """Pointwise loss; vectorized over z."""

@@ -45,16 +45,6 @@ class McEstimate:
     n: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "variance": self.variance,
-            "std_error_mean": self.std_error_mean,
-            "std_error_variance": self.std_error_variance,
-            "n": self.n,
-            "seed": self.seed,
-        }
-
 
 def estimate_loss_stats(
     dist: ErrorDistribution,

@@ -16,7 +16,6 @@ smallest-magnitude optimum and flags it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from scipy import optimize
@@ -53,18 +52,6 @@ class OffsetSolution:
     variance_at_zero: float
     beta_at_C: float
 
-    def to_dict(self) -> dict:
-        return {
-            "C": self.C,
-            "residual": self.residual,
-            "flat_optimum": self.flat_optimum,
-            "expected_at_C": self.expected_at_C,
-            "variance_at_C": self.variance_at_C,
-            "expected_at_zero": self.expected_at_zero,
-            "variance_at_zero": self.variance_at_zero,
-            "beta_at_C": self.beta_at_C,
-        }
-
 
 @dataclass(frozen=True)
 class SavingsReport:
@@ -75,15 +62,6 @@ class SavingsReport:
     delta_variance: float
     pct_expected: float
     pct_variance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "solution": self.solution.to_dict(),
-            "delta_expected": self.delta_expected,
-            "delta_variance": self.delta_variance,
-            "pct_expected": self.pct_expected,
-            "pct_variance": self.pct_variance,
-        }
 
 
 def _close(a: float, b: float, tol: float) -> bool:

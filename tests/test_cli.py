@@ -1,6 +1,7 @@
 """End-to-end and unit tests for the command-line interface."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,13 +11,12 @@ import sys
 import numpy as np
 import pytest
 
-from asymloss import Gaussian, Laplace, cli
+from asymloss import Gaussian, Laplace, OffsetSolution, SavingsReport, cli
 from asymloss.cli import (
     _CSV_COLUMNS,
     FIXED_CLOCK,
     MAX_GRID_ROWS,
     SCHEMA_VERSION,
-    AnalysisReport,
     CliInputError,
     main,
     parse_dist_spec,
@@ -77,9 +77,16 @@ class TestAnalyzeParametric:
         assert main([*self.ARGS, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_report_round_trip(self, capsys):
+    def test_report_layout(self, capsys):
         _, payload, _ = run_json(capsys, self.ARGS)
-        assert AnalysisReport.from_dict(payload).to_dict() == payload
+        assert set(payload) == {
+            "schema_version", "command", "generated_at", "inputs", "distribution",
+            "solution", "savings", "inequality_summary", "mc_checks", "verdict",
+            "diagnostics",
+        }
+        names = lambda cls: {f.name for f in dataclasses.fields(cls)}
+        assert set(payload["solution"]) == names(OffsetSolution)
+        assert set(payload["savings"]) == names(SavingsReport) - {"solution"}
 
 
 class TestAnalyzeEmpirical:
@@ -152,6 +159,19 @@ class TestAnalyzeInputErrors:
         assert main(["analyze", "--dist", "laplace:b=1", "--k1", "1",
                      "--k2", "2", "--frobnicate"]) == 1
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["analyze", "--input", str(tmp / "latin1.csv"), "--k1", "1", "--k2", "2"],
+    lambda tmp: ["analyze", "--input", str(tmp), "--k1", "1", "--k2", "2"],
+    lambda tmp: ["simulate", "--dist", "laplace:b=1", "--n", "-5", "--k1", "1", "--k2", "2"],
+    lambda tmp: ["analyze", "--dist", "laplace:b=1", "--k1", "1", "--k2", "2", "--mc-n", "10"],
+], ids=["non-utf8-csv", "directory-input", "negative-n", "tiny-mc-n"])
+def test_bad_input_exits_1_with_one_error_line(argv, tmp_path, capsys):
+    (tmp_path / "latin1.csv").write_bytes(b"error\n1.5\n\xe9\xff\n")
+    assert main(argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCsvReader:
@@ -297,6 +317,12 @@ class TestVerify:
         reports = parse_grid_spec("laplace:b=1,2;points=10;span=4")
         assert len(reports) == 20
         assert {r.dist_id for r in reports} == {"laplace(b=1)", "laplace(b=2)"}
+        # two-key grids: the first key varies slowest
+        gg = parse_grid_spec("gg:a=0.5,1;b=1,2;points=2")
+        assert [r.dist_id for r in gg[::2]] == [
+            "generalized_gaussian(a=0.5,b=1)", "generalized_gaussian(a=0.5,b=2)",
+            "generalized_gaussian(a=1,b=1)", "generalized_gaussian(a=1,b=2)",
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -383,6 +409,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith(",".join(_CSV_COLUMNS))
+
+    def test_import_leaves_out_scipy_stats(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, asymloss, asymloss.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_no_arguments_is_input_error(self):
         proc = subprocess.run(

@@ -7,11 +7,15 @@ forms.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy.special import gamma as gamma_fn
+from scipy.stats import binomtest
 
 from _oracles import cdf_quad, moment_quad
 from _testdists import Triangular
@@ -43,6 +47,17 @@ LAP_LOWER = (0.25, 0.076713204860013673, 0.033313156240476989)
 LAP_UPPER = (0.25, 0.42328679513998633, 0.96668684375952301)
 
 PHI_AT_ONE = 0.8413447460685429  # standard normal CDF at 1
+
+# Incomplete gamma functions, reached through generalized Gaussian tables
+# (2 Gamma(a) lower[0] at x = b X^a is the lower incomplete gamma at X).
+# gamma(0.5, 1) lower: substitute t = u^2 so the integrand is smooth,
+# 2 * integral_0^1 exp(-u^2) du; frozen from that quadrature (= sqrt(pi) erf(1)).
+LOWER_HALF_ONE = 1.4936482656248540
+# Gamma(2, 1) upper: integration by parts gives (1 + 1) e^-1 = 2/e.
+UPPER_TWO_ONE = 0.7357588823428847
+# mpmath, 40 digits:
+LOWER_FIVE_2P5 = 2.6117275460603702
+UPPER_TENTH_THREE = 0.014891224816681061
 
 
 # ----------------------------------------------------------------------
@@ -97,6 +112,34 @@ class TestSpotValues:
         for k in range(3):
             assert t.lower[k] == pytest.approx(LAP_LOWER[k], rel=1e-14)
             assert t.upper[k] == pytest.approx(LAP_UPPER[k], rel=1e-14)
+
+
+def lower_incomplete(a, X):
+    return 2.0 * gamma_fn(a) * GeneralizedGaussian(a, 1.0).partial_moments(X ** a).lower[0]
+
+
+def upper_incomplete(a, X):
+    return 2.0 * gamma_fn(a) * GeneralizedGaussian(a, 1.0).partial_moments(X ** a).upper[0]
+
+
+def lower_half_by_substitution(x):
+    # integral_0^x t^(-1/2) e^(-t) dt with t = u^2
+    val, err = integrate.quad(lambda u: 2.0 * math.exp(-u * u), 0.0, math.sqrt(x),
+                              epsabs=1e-13, epsrel=1e-13)
+    assert err < 1e-12
+    return val
+
+
+class TestIncompleteGammaSpotValues:
+    def test_frozen_singular_shape(self):
+        got = lower_incomplete(0.5, 1.0)
+        assert got == pytest.approx(LOWER_HALF_ONE, rel=1e-12)
+        assert got == pytest.approx(lower_half_by_substitution(1.0), rel=1e-12)
+
+    def test_frozen_spot_values(self):
+        assert lower_incomplete(5.0, 2.5) == pytest.approx(LOWER_FIVE_2P5, rel=1e-13)
+        assert upper_incomplete(0.1, 3.0) == pytest.approx(UPPER_TENTH_THREE, rel=1e-13)
+        assert upper_incomplete(2.0, 1.0) == pytest.approx(UPPER_TWO_ONE, rel=1e-13)
 
 
 # ----------------------------------------------------------------------
@@ -420,9 +463,20 @@ class TestFitEmpirical:
         # shape projection should barely move a genuinely decreasing density
         assert diag.monotonicity_violation_mass < 0.45
 
-    def test_diagnostics_to_dict(self):
+    def test_sign_pvalue_matches_binomtest(self):
+        counts = (0, 1, 2, 7, 15, 50, 5000, 10000, 10150, 12000)
+        for n_pos in counts:
+            for n_neg in counts:
+                if n_pos + n_neg == 0:
+                    continue
+                z = np.array([1.0] * n_pos + [-1.0] * n_neg)
+                _, diag = fit_empirical(z, min_observations=1)
+                ref = binomtest(n_pos, n_pos + n_neg, 0.5).pvalue
+                assert abs(diag.sign_pvalue - ref) <= 1e-14 * ref, (n_pos, n_neg)
+
+    def test_diagnostics_asdict(self):
         _, diag = fit_empirical(np.array([-1.0] * 50 + [1.0] * 50))
-        d = diag.to_dict()
+        d = asdict(diag)
         assert d["n"] == 100 and d["n_positive"] == 50
         assert set(d) == {
             "n", "n_positive", "n_negative", "n_zero", "sign_statistic",

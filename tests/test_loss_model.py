@@ -1,6 +1,7 @@
 """Tests for the loss function and its analytic moments."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ class TestLossParams:
         assert p.k_sum == 4.0
         assert p.k_diff == -2.0
         assert p.critical_fractile == 0.75
-        assert p.to_dict() == {"k1": 1.0, "k2": 3.0}
+        assert asdict(p) == {"k1": 1.0, "k2": 3.0}
 
     def test_ints_are_coerced(self):
         p = LossParams(2, 5)

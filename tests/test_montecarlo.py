@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo cross-checking estimators."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ class TestDeterminism:
 
     def test_record_fields(self):
         est = estimate_loss_stats(Uniform(1.0), LossParams(1.0, 2.0), 0.1, 2_000, 9)
-        d = est.to_dict()
+        d = asdict(est)
         assert d["n"] == 2_000 and d["seed"] == 9
         assert set(d) == {"mean", "variance", "std_error_mean",
                           "std_error_variance", "n", "seed"}

@@ -1,6 +1,7 @@
 """Tests for the optimal-offset solver and the savings report."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -203,9 +204,9 @@ class TestSavingsReport:
         assert rep.pct_expected == 0.0
         assert rep.pct_variance == 0.0
 
-    def test_to_dict_round_trip_keys(self):
+    def test_asdict_keys(self):
         rep = savings_report(Laplace(1.0), LossParams(1.0, 2.0))
-        d = rep.to_dict()
+        d = asdict(rep)
         assert set(d) == {"solution", "delta_expected", "delta_variance",
                           "pct_expected", "pct_variance"}
         assert d["solution"]["C"] == rep.solution.C
