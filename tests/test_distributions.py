@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
+from scipy.special import gammaln
 from scipy.stats import binomtest
 
 from _oracles import cdf_quad, moment_quad
@@ -140,6 +141,100 @@ class TestIncompleteGammaSpotValues:
         assert lower_incomplete(5.0, 2.5) == pytest.approx(LOWER_FIVE_2P5, rel=1e-13)
         assert upper_incomplete(0.1, 3.0) == pytest.approx(UPPER_TENTH_THREE, rel=1e-13)
         assert upper_incomplete(2.0, 1.0) == pytest.approx(UPPER_TWO_ONE, rel=1e-13)
+
+
+def gamma_from_peak(a):
+    # pdf(0) = 1 / (2 a b Gamma(a)), so Gamma(a) comes back out of the peak.
+    return 1.0 / (2.0 * a * GeneralizedGaussian(a, 1.0).pdf(0.0))
+
+
+class TestGamma:
+    """The complete gamma function as it enters the GG normalizing constant."""
+
+    def test_integers_are_factorials(self):
+        assert GeneralizedGaussian(1.0, 1.0).pdf(0.0) == 0.5
+        assert GeneralizedGaussian(5.0, 1.0).pdf(0.0) == 0.5 / (5.0 * 24.0)
+
+    def test_half_integer(self):
+        # a = 1/2 is exp(-z^2) up to normalization: peak 1 / sqrt(pi)
+        assert GeneralizedGaussian(0.5, 1.0).pdf(0.0) == pytest.approx(
+            1.0 / math.sqrt(math.pi), rel=1e-15)
+
+    def test_recurrence(self):
+        for a in np.geomspace(0.05, 120.0, 60).tolist():
+            assert gamma_from_peak(a + 1.0) == pytest.approx(a * gamma_from_peak(a), rel=1e-13)
+
+    def test_matches_log_gamma(self):
+        # The peak uses gamma(a); the half-line totals use gammaln.
+        for a in np.geomspace(0.1, 100.0, 25).tolist():
+            assert math.log(gamma_from_peak(a)) == pytest.approx(gammaln(a), rel=0, abs=1e-12)
+
+    def test_overflow_is_range_error(self):
+        # gamma(a) leaves float64 between a = 171 and a = 172.
+        assert GeneralizedGaussian(171.0, 1.0).a == 171.0
+        with pytest.raises(RangeError):
+            GeneralizedGaussian(172.0, 1.0)
+
+
+class TestIncompletePair:
+    """Incomplete gamma identities, read off generalized Gaussian tables."""
+
+    def test_exponential_shape_is_elementary(self):
+        # a = 1: lower = 1 - e^-x, upper = e^-x
+        for x in (0.0, 0.3, 1.0, 4.7, 30.0):
+            assert lower_incomplete(1.0, x) == pytest.approx(-math.expm1(-x), rel=1e-14)
+            assert upper_incomplete(1.0, x) == pytest.approx(math.exp(-x), rel=1e-14)
+
+    def test_boundary_at_zero(self):
+        assert lower_incomplete(2.5, 0.0) == 0.0
+        assert upper_incomplete(3.0, 0.0) == pytest.approx(2.0, rel=1e-15)
+
+    def test_complementarity_grid(self):
+        x = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 15)])
+        for a in np.geomspace(0.1, 20.0, 12).tolist():
+            total = lower_incomplete(a, x) + upper_incomplete(a, x)
+            np.testing.assert_allclose(total, gamma_fn(a), rtol=1e-12)
+
+    def test_lower_monotone_in_x(self):
+        x = np.linspace(0.0, 12.0, 200)
+        for a in (0.3, 1.0, 4.0):
+            assert np.all(np.diff(lower_incomplete(a, x)) >= 0.0)
+
+    def test_derivative_matches_integrand(self):
+        h = 1e-5
+        for a in (0.7, 2.0, 6.0):
+            for x in (0.4, 1.3, 5.0):
+                numeric = (lower_incomplete(a, x + h) - lower_incomplete(a, x - h)) / (2 * h)
+                exact = x ** (a - 1.0) * math.exp(-x)
+                assert numeric == pytest.approx(exact, rel=1e-7)
+
+    def test_rejects_negative_x(self):
+        with pytest.raises(DomainError):
+            GeneralizedGaussian(1.0, 1.0).partial_moments(-0.1)
+        with pytest.raises(DomainError):
+            GeneralizedGaussian(1.0, 1.0).partial_moments(np.array([0.5, -2.0]))
+
+
+class TestRegularized:
+    """Regularized incomplete gamma functions, as the GG CDF and quantile."""
+
+    def test_bounds_and_complement(self):
+        x = np.geomspace(1e-2, 40.0, 12)
+        for a in np.geomspace(0.2, 10.0, 8).tolist():
+            t = GeneralizedGaussian(a, 1.0).partial_moments(x ** a)
+            p, q = 2.0 * t.lower[0], 2.0 * t.upper[0]
+            assert np.all((p >= 0.0) & (p <= 1.0))
+            np.testing.assert_allclose(p + q, 1.0, rtol=0, atol=1e-13)
+
+    def test_inverse_round_trip(self):
+        # P(a, .) is inverted through the quantile: for q > 1/2, |Z| <= quantile(q)
+        # with probability 2q - 1 (exact in float64 for q in [1/2, 1]).
+        for a in (0.4, 1.0, 3.5):
+            d = GeneralizedGaussian(a, 1.0)
+            for p in (1e-6, 0.25, 0.5, 0.975, 1 - 1e-9):
+                q = 0.5 + 0.5 * p
+                got = 2.0 * d.partial_moments(d.quantile(q)).lower[0]
+                assert got == pytest.approx(2.0 * q - 1.0, rel=1e-10)
 
 
 # ----------------------------------------------------------------------
