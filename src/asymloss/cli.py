@@ -33,6 +33,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -201,6 +202,29 @@ def parse_grid_spec(spec: str):
     return sweep(dists, n_points=points, span=span)
 
 
+def _parse_body(fh, n_cols: int):
+    """The rows after the header as an (n, n_cols) array, or None.
+
+    One C-level pass by ``np.loadtxt``.  Every cell it accepts, ``float()``
+    accepts with the same value, so a table it returns is what the row loop
+    in ``read_error_csv`` would build.  It refuses more: whitespace-only or
+    comma-only rows, ``1_0`` or non-ASCII digits, and malformed rows.  None
+    means the caller reads the body row by row instead.
+    """
+    with warnings.catch_warnings():
+        # An empty body is reported by the row loop, not as a warning.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(
+                fh, delimiter=",", quotechar='"', comments=None, dtype=float, ndmin=2
+            )
+        except ValueError:  # also UnicodeDecodeError
+            return None
+    if table.shape[0] == 0 or table.shape[1] != n_cols:
+        return None
+    return table
+
+
 def read_error_csv(path: str) -> np.ndarray:
     """Read errors from a CSV with header 'error' or 'y,yhat' (error = yhat - y)."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -218,6 +242,16 @@ def read_error_csv(path: str) -> np.ndarray:
             raise CliInputError(
                 f"{path}: unsupported header {header!r}; expected 'error' or 'y,yhat'"
             )
+        # Parse from this handle, not from the path: numpy opens a path by its
+        # suffix (.gz, .bz2, ...), and skiprows counts lines, not csv records.
+        table = _parse_body(fh, len(cols))
+        if table is not None:
+            return table[:, 1] - table[:, 0] if pair_mode else table[:, 0]
+        # Read the body again row by row: this skips blank rows, accepts every
+        # spelling float() does, and names the line of a malformed row.
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
         out = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
@@ -561,8 +595,9 @@ def main(argv=None) -> int:
     except (InsufficientDataError, DegenerateDistributionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ASSUMPTION
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, csv.Error) as exc:
         # After the clause above: both assumption errors are ValueErrors.
+        # csv.Error is csv's own refusal, e.g. a cell over its field size limit.
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except (NumericError, CrossCheckError, RangeError) as exc:

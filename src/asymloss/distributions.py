@@ -308,7 +308,13 @@ class GeneralizedGaussian(ErrorDistribution):
         gamma_a = float(_sc.gamma(a))
         if not math.isfinite(gamma_a):
             raise RangeError(f"gamma(a) overflows float64 at a={a!r}")
-        self._norm = 0.5 / (a * b * gamma_a)
+        denom = a * b * gamma_a
+        if math.isfinite(denom):
+            self._norm = 0.5 / denom
+        else:
+            # The product overflows before gamma(a) does (a near 171, or a
+            # large b); the constant itself may still be a (subnormal) float.
+            self._norm = math.exp(-(math.log(2.0 * a) + math.log(b) + _sc.gammaln(a)))
         # Half-line moments of orders 0..2, needed by every moment table.
         self._totals = tuple(self._half_total(k) for k in range(3))
 

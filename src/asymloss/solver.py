@@ -16,12 +16,13 @@ smallest-magnitude optimum and flags it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from scipy import optimize
 
 from .distributions import ErrorDistribution
-from .errors import CrossCheckError, NumericError
+from .errors import CrossCheckError, NumericError, RangeError
 from .inequalities import beta
 from .loss_model import (
     LossParams,
@@ -177,8 +178,19 @@ def solve_offset(
 
 
 def savings_report(dist: ErrorDistribution, params: LossParams) -> SavingsReport:
-    """Solve for C and express both savings absolutely and in percent."""
+    """Solve for C and express both savings absolutely and in percent.
+
+    Raises RangeError when the loss moments at c = 0 fall below the smallest
+    normal float64 (a tiny scale), where the percentages cannot be formed.
+    """
     sol = solve_offset(dist, params)
+    tiny = sys.float_info.min
+    if not (sol.expected_at_zero >= tiny and sol.variance_at_zero >= tiny):
+        raise RangeError(
+            f"loss moments at c = 0 underflow float64 (expected "
+            f"{sol.expected_at_zero!r}, variance {sol.variance_at_zero!r}); "
+            f"rescale the errors"
+        )
     d_exp = sol.expected_at_zero - sol.expected_at_C
     d_var = sol.variance_at_zero - sol.variance_at_C
     return SavingsReport(

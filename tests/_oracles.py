@@ -4,11 +4,18 @@ Everything here works only from a density callable and generic
 quadrature/root-finding, configured tighter than the library's own
 fallback path, so agreement between these values and the library's
 closed forms is evidence rather than tautology.
+
+``read_error_csv_rows`` is the CLI's error-log reader as a plain row loop
+(``csv`` plus ``float()``), the reference the one-pass reader is held to.
 """
 
+import csv
 import math
 
+import numpy as np
 from scipy import integrate, optimize
+
+from asymloss.cli import CliInputError
 
 _ABS = 1e-13
 _REL = 1e-12
@@ -67,3 +74,40 @@ def loss_moment_quad(pdf, c, k1, k2, power, *, support=math.inf, kinks=()):
         assert err < 1e-8 * max(1.0, abs(val)), "oracle loss-moment quadrature failed"
         total += val
     return total
+
+
+def read_error_csv_rows(path):
+    """Errors from a CSV with header 'error' or 'y,yhat', read row by row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CliInputError(f"{path}: empty file") from None
+        cols = [c.strip().lower() for c in header]
+        if cols == ["error"]:
+            pair_mode = False
+        elif cols == ["y", "yhat"]:
+            pair_mode = True
+        else:
+            raise CliInputError(
+                f"{path}: unsupported header {header!r}; expected 'error' or 'y,yhat'"
+            )
+        out = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(cols):
+                raise CliInputError(
+                    f"{path}: line {lineno}: expected {len(cols)} fields, got {len(row)}"
+                )
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                raise CliInputError(
+                    f"{path}: line {lineno}: could not parse {row!r} as numbers"
+                ) from None
+            out.append(values[1] - values[0] if pair_mode else values[0])
+    if not out:
+        raise CliInputError(f"{path}: no data rows")
+    return np.asarray(out, dtype=float)

@@ -7,9 +7,13 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from _oracles import read_error_csv_rows
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from asymloss import Gaussian, Laplace, OffsetSolution, SavingsReport, cli
 from asymloss.cli import (
@@ -166,12 +170,31 @@ class TestAnalyzeInputErrors:
     lambda tmp: ["analyze", "--input", str(tmp), "--k1", "1", "--k2", "2"],
     lambda tmp: ["simulate", "--dist", "laplace:b=1", "--n", "-5", "--k1", "1", "--k2", "2"],
     lambda tmp: ["analyze", "--dist", "laplace:b=1", "--k1", "1", "--k2", "2", "--mc-n", "10"],
-], ids=["non-utf8-csv", "directory-input", "negative-n", "tiny-mc-n"])
+    lambda tmp: ["simulate", "--input", str(tmp / "header.csv"), "--k1", "1", "--k2", "2"],
+    lambda tmp: ["simulate", "--input", str(tmp / "blank.csv"), "--k1", "1", "--k2", "2"],
+    lambda tmp: ["analyze", "--input", str(tmp / "short.csv"), "--k1", "1", "--k2", "2"],
+    lambda tmp: ["simulate", "--input", str(tmp / "long.csv"), "--k1", "1", "--k2", "2"],
+], ids=["non-utf8-csv", "directory-input", "negative-n", "tiny-mc-n",
+        "header-only-csv", "blank-rows-csv", "one-field-pair-csv", "over-long-cell-csv"])
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "latin1.csv").write_bytes(b"error\n1.5\n\xe9\xff\n")
-    assert main(argv(tmp_path)) == 1
+    (tmp_path / "header.csv").write_bytes(b"error\n")
+    (tmp_path / "blank.csv").write_bytes(b"error\n\n  \n\t\r\n")
+    (tmp_path / "short.csv").write_bytes(b"y,yhat\n1.0\n2,3\n")
+    # One cell longer than csv's default field size limit (131 072 characters).
+    (tmp_path / "long.csv").write_bytes(b"error\n1.5\n" + b" " * 140_000 + b"x\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
+
+
+def test_underflowing_scale_exits_3_with_one_error_line(capsys):
+    assert main(["analyze", "--dist", "laplace:b=1e-300", "--k1", "1", "--k2", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "underflow" in err and err.count("\n") == 1
 
 
 class TestCsvReader:
@@ -209,6 +232,104 @@ class TestCsvReader:
         p.write_text("error\n", encoding="utf-8")
         with pytest.raises(CliInputError, match="no data"):
             read_error_csv(str(p))
+
+
+# Cell spellings around the edge of what csv plus float() accepts.
+_NUMBER_CELLS = [
+    "0", "-0", "1.5", "-2.25", "3e-5", "1E+3", "+.5", "7.", "inf", "-Infinity",
+    "nan", "NaN", "-nan", "1e400", "-1e400", "4.9e-324", '"1.5"', '"-2"',
+    " 1.5 ", "\t2\x0c", "\xa03", '"1.5" ', '" 4 "', "1_0", "１", "٣.٥",
+]
+_JUNK_CELLS = [
+    "", " ", '""', "abc", "nan(1)", "0x10", "1.5.2", '"1,5"', '"1""5"', '1"5',
+    ' "1.5"', '"1.5"x', "1 2", "1\x00", '"2\n"', '"3',
+]
+_SPECIAL_ROWS = ["", " ", "\t", " , ", ",", ",,", " ,\t, "]
+_HEADERS = {
+    1: ["error", "Error", " ERROR ", '"error"', "\terror", '"error\n"', '"\nerror"'],
+    2: ["y,yhat", "Y , YHAT", ' y,"yhat"', "y ,yhat", '"y\n",yhat'],
+}
+
+
+def _good_prefix(n_cols):
+    """1 000 rows that the one-pass parse accepts."""
+    return [",".join(f"{(7 * i + j) % 13 - 6.25:.3f}" for j in range(n_cols)) for i in range(1000)]
+
+
+@st.composite
+def error_logs(draw):
+    """Bytes of an error-log CSV from the accepted grammar and just outside it."""
+    n_cols = draw(st.sampled_from([1, 2]))
+    header = draw(st.one_of(*[st.sampled_from(_HEADERS[n_cols])] * 3,
+                            st.sampled_from(["err", "yhat,y", "", "error,"])))
+    number = st.one_of(
+        st.sampled_from(_NUMBER_CELLS),
+        st.floats().map(repr),
+        st.floats(-1e6, 1e6).map(lambda v: f"{v:.2f}"),
+    )
+    good = st.lists(number, min_size=n_cols, max_size=n_cols).map(",".join)
+    other = st.one_of(
+        st.sampled_from(_SPECIAL_ROWS),
+        st.lists(st.one_of(number, st.sampled_from(_JUNK_CELLS)), min_size=1, max_size=3).map(",".join),
+    )
+    rows = draw(st.lists(good if draw(st.booleans()) else st.one_of(good, good, other),
+                         max_size=12))
+    if draw(st.booleans()):
+        rows = _good_prefix(n_cols) + rows
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3))
+    text = header
+    for i, row in enumerate(rows):
+        text += endings[i % len(endings)] + row
+    if draw(st.booleans()):
+        text += endings[0]
+    return text.encode("utf-8") + draw(st.sampled_from([b""] * 7 + [b"\xff\xfe1\n"]))
+
+
+def _read_outcome(read, path):
+    try:
+        out = read(path)
+    except ValueError as exc:  # CliInputError, UnicodeDecodeError
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+class TestCsvParity:
+    """The one-pass reader against the row loop it replaced (tests/_oracles.py)."""
+
+    @given(data=error_logs())
+    @example(data=b"error\r1.5\r\r-2\r")
+    @example(data=b"y,yhat\r\n1,2\r\n \r\n,\r\n3,5\r\n")
+    @example(data=("error\n" + "\n".join(_good_prefix(1)) + "\n1_0\n").encode())
+    @example(data=("y,yhat\n" + "\n".join(_good_prefix(2)) + "\n1,x\n").encode())
+    @example(data=("error\n" + "\n".join(_good_prefix(1)) + "\n1,2\n").encode())
+    @example(data='"error\n"\n"5"\n'.encode())
+    @example(data=b"error\n1,2\n3,4\n")
+    @example(data=b"y,yhat\n1\n2\n")
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_array_or_same_error(self, data, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        assert _read_outcome(read_error_csv, str(path)) == _read_outcome(
+            read_error_csv_rows, str(path))
+
+    @pytest.mark.parametrize("body, n_cols, rows", [
+        ("1.5\n-2\n", 1, 2),
+        ('"1.5"\r\n 3 \r\n\r\ninf\r\n', 1, 3),
+        ("1,2\n3,4\n", 2, 2),
+        ("", 1, None),             # no rows
+        ("1\n \n2\n", 1, None),    # whitespace-only row
+        ("1\n,\n", 1, None),       # comma-only row
+        ("1_0\n", 1, None),        # Python-only spelling
+        ("1,2\n", 1, None),        # column count differs from the header's
+        ("1\nx\n", 1, None),       # malformed cell
+    ])
+    def test_parse_body_takes_clean_bodies_only(self, body, n_cols, rows):
+        table = cli._parse_body(io.StringIO(body, newline=""), n_cols)
+        if rows is None:
+            assert table is None
+        else:
+            assert table.shape == (rows, n_cols)
 
 
 class TestDistSpecParsing:

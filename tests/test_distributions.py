@@ -9,6 +9,7 @@ forms.
 import math
 from dataclasses import asdict
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,17 @@ class TestGamma:
         # The peak uses gamma(a); the half-line totals use gammaln.
         for a in np.geomspace(0.1, 100.0, 25).tolist():
             assert math.log(gamma_from_peak(a)) == pytest.approx(gammaln(a), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("a, b", [(171.0, 1.0), (170.5, 3.0)])
+    def test_density_past_product_overflow(self, a, b):
+        # a * b * gamma(a) overflows here although gamma(a) does not, and the
+        # density itself is a subnormal float.
+        mpmath.mp.dps = 30
+        dist = GeneralizedGaussian(a, b)
+        for x in (0.0, -1.0, 2.5):
+            exact = mpmath.exp(-(abs(mpmath.mpf(x)) / b) ** (1 / mpmath.mpf(a))) / (
+                2 * a * b * mpmath.gamma(a))
+            assert dist.pdf(x) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
     def test_overflow_is_range_error(self):
         # gamma(a) leaves float64 between a = 171 and a = 172.

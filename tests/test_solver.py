@@ -15,6 +15,7 @@ from asymloss import (
     Laplace,
     LossParams,
     NumericError,
+    RangeError,
     Uniform,
     beta,
     expected_loss,
@@ -203,6 +204,17 @@ class TestSavingsReport:
         assert rep.delta_variance == 0.0
         assert rep.pct_expected == 0.0
         assert rep.pct_variance == 0.0
+
+    @pytest.mark.parametrize("b", [1e-300, 1e-160])
+    def test_underflowing_moments_are_range_error(self, b):
+        # Var[|Z|] = b^2 at c = 0: 0.0 at b = 1e-300, subnormal at b = 1e-160.
+        with pytest.raises(RangeError, match="underflow"):
+            savings_report(Laplace(b), LossParams(1.0, 1.0))
+
+    def test_smallest_normal_scale_still_reports(self):
+        rep = savings_report(Laplace(1e-150), LossParams(1.0, 1.0))
+        assert rep.solution.variance_at_zero == pytest.approx(1e-300, rel=1e-12)
+        assert rep.pct_expected == rep.pct_variance == 0.0
 
     def test_asdict_keys(self):
         rep = savings_report(Laplace(1.0), LossParams(1.0, 2.0))
