@@ -246,7 +246,8 @@ def read_error_csv(path: str) -> np.ndarray:
         # suffix (.gz, .bz2, ...), and skiprows counts lines, not csv records.
         table = _parse_body(fh, len(cols))
         if table is not None:
-            return table[:, 1] - table[:, 0] if pair_mode else table[:, 0]
+            with np.errstate(invalid="ignore"):  # inf - inf: refused later as non-finite
+                return table[:, 1] - table[:, 0] if pair_mode else table[:, 0]
         # Read the body again row by row: this skips blank rows, accepts every
         # spelling float() does, and names the line of a malformed row.
         fh.seek(0)

@@ -14,7 +14,8 @@ Gaussian reduces to regularized incomplete gamma functions, the Gaussian
 to erf/erfc, the Laplace and uniform families to elementary expressions,
 and the piecewise-constant empirical family to cumulative sums.  A custom
 subclass only has to provide ``pdf``; the base class then falls back to
-adaptive quadrature (and bisection for quantiles), slower but correct.
+adaptive quadrature (and bisection for quantiles), slower but correct, and
+takes each upper moment as a half-line total minus the lower moment.
 
 Sampling is deterministic and chunked: a draw of n variates is produced in
 fixed-size chunks, chunk i seeded with ``default_rng([seed, i])``, so the
@@ -118,10 +119,12 @@ class MomentTable:
 class ErrorDistribution:
     """Base class for symmetric, centrally peaked error distributions.
 
-    Subclasses must implement ``pdf`` and may override the three hooks
-    ``_half_moment_below``, ``_half_moment_above`` and
-    ``_magnitude_quantile`` with closed forms.  Instances are immutable
-    after construction and safe for concurrent use; sampling derives all
+    Subclasses must implement ``pdf`` and may override the hooks
+    ``_half_moment_below``, ``_half_total`` and ``_magnitude_quantile``
+    with closed forms.  The upper side ``_half_moment_above`` is derived
+    as total minus lower; a family overrides it only where a direct
+    tail form is more accurate.  Instances are immutable after
+    construction and safe for concurrent use; sampling derives all
     randomness from explicit seeds.
     """
 
@@ -148,12 +151,16 @@ class ErrorDistribution:
             return self._quad_moment(k, 0.0, float(x))
         return np.array([self._quad_moment(k, 0.0, xi) for xi in x.ravel()]).reshape(x.shape)
 
+    def _half_total(self, k):
+        """integral_0^inf t^k f(t) dt; generic quadrature, cached per order."""
+        totals = self.__dict__.setdefault("_totals_cache", {})
+        if k not in totals:
+            totals[k] = self._quad_moment(k, 0.0, np.inf)
+        return totals[k]
+
     def _half_moment_above(self, k, x):
-        """integral_x^inf t^k f(t) dt for x >= 0; generic quadrature."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return self._quad_moment(k, float(x), np.inf)
-        return np.array([self._quad_moment(k, xi, np.inf) for xi in x.ravel()]).reshape(x.shape)
+        """integral_x^inf t^k f(t) dt for x >= 0, as total minus lower."""
+        return np.maximum(self._half_total(k) - self._half_moment_below(k, x), 0.0)
 
     def _magnitude_quantile(self, q):
         """Smallest m >= 0 with P(|Z| <= m) = q; generic root bracketing."""
@@ -240,8 +247,11 @@ class ErrorDistribution:
         holds arrays of its shape); one non-finite entry raises RangeError.
         """
         x = _split_point(x)
-        lower = tuple(_scalar_or_array(self._half_moment_below(k, x)) for k in (0, 1, 2))
-        upper = tuple(_scalar_or_array(self._half_moment_above(k, x)) for k in (0, 1, 2))
+        # inf * 0 -> nan and overflow to inf are fine here: the finiteness
+        # gate below turns either into a RangeError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lower = tuple(_scalar_or_array(self._half_moment_below(k, x)) for k in (0, 1, 2))
+            upper = tuple(_scalar_or_array(self._half_moment_above(k, x)) for k in (0, 1, 2))
         if not np.all(np.isfinite(lower + upper)):
             raise RangeError(
                 f"partial moments of {self.kind} are not float64-representable"
@@ -348,16 +358,10 @@ class GeneralizedGaussian(ErrorDistribution):
             return math.inf
 
     def _half_moment_below(self, k, x):
-        X = self._standardized(x)
-        # inf * 0 -> nan is fine here: partial_moments gates non-finite
-        # entries into a RangeError.
-        with np.errstate(invalid="ignore"):
-            return self._totals[k] * _sc.gammainc((k + 1.0) * self.a, X)
+        return self._totals[k] * _sc.gammainc((k + 1.0) * self.a, self._standardized(x))
 
     def _half_moment_above(self, k, x):
-        X = self._standardized(x)
-        with np.errstate(invalid="ignore"):
-            return self._totals[k] * _sc.gammaincc((k + 1.0) * self.a, X)
+        return self._totals[k] * _sc.gammaincc((k + 1.0) * self.a, self._standardized(x))
 
     def _magnitude_quantile(self, q):
         with np.errstate(over="ignore"):
@@ -464,7 +468,7 @@ class Uniform(ErrorDistribution):
 
     def _half_moment_above(self, k, x):
         r = np.minimum(np.asarray(x, dtype=float), self.w)
-        return (self.w ** (k + 1) - np.float_power(r, k + 1)) / (2.0 * self.w * (k + 1))
+        return (np.float_power(self.w, k + 1) - np.float_power(r, k + 1)) / (2.0 * self.w * (k + 1))
 
     def _magnitude_quantile(self, q):
         return self.w * np.asarray(q, dtype=float)
@@ -507,11 +511,14 @@ class EmpiricalSymmetric(ErrorDistribution):
 
         self._t = t
         self._h = h
-        # cumulative order-k integrals at the breakpoints
+        # Order-k integrals at the breakpoints, summed from 0 and from the
+        # top: a tail taken as total minus lower would cancel far out.
         self._cum = []
+        self._tail = []
         for k in range(3):
             piece = h * np.diff(t ** (k + 1)) / (k + 1.0)
             self._cum.append(np.concatenate([[0.0], np.cumsum(piece)]))
+            self._tail.append(np.concatenate([np.cumsum(piece[::-1])[::-1], [0.0]]))
 
     def params(self):
         return {
@@ -548,9 +555,12 @@ class EmpiricalSymmetric(ErrorDistribution):
         return self._cum[k][j] + partial
 
     def _half_moment_above(self, k, x):
-        total = self._cum[k][-1]
-        below = self._half_moment_below(k, x)
-        return np.maximum(total - below, 0.0)
+        xi = np.minimum(np.asarray(x, dtype=float), self._t[-1])
+        j = self._piece_index(xi)
+        partial = self._h[j] * (
+            np.float_power(self._t[j + 1], k + 1) - np.float_power(xi, k + 1)
+        ) / (k + 1.0)
+        return self._tail[k][j + 1] + partial
 
     def _magnitude_quantile(self, q):
         q = np.asarray(q, dtype=float)

@@ -131,12 +131,15 @@ def d_expected_loss(dist: ErrorDistribution, params: LossParams, c, *, table=Non
 
     Equals (k1 - k2)/2 + sgn(c) (k1 + k2) integral_0^|c| f, which is the
     same as (k1 + k2) (F(c) - k2/(k1 + k2)) for the error CDF F; it
-    vanishes exactly at the critical fractile.
+    vanishes exactly at the critical fractile.  Evaluated in tail form,
+    sgn(c) (k - (k1 + k2) integral_|c|^inf f) with k = k1 for c >= 0 and
+    k2 otherwise, it does not cancel far out in the tail.
     """
     c = float(c)
     if table is None:
-        # Only the order-0 lower moment is needed: skip the other five.
-        lower0 = float(dist._half_moment_below(0, _split_point(abs(c))))
+        # Only the order-0 upper moment is needed: skip the other five.
+        upper0 = float(dist._half_moment_above(0, _split_point(abs(c))))
     else:
-        lower0 = _table_for(dist, abs(c), table).lower[0]
-    return 0.5 * params.k_diff + _sgn(c) * params.k_sum * lower0
+        upper0 = _table_for(dist, abs(c), table).upper[0]
+    k = params.k1 if c >= 0.0 else params.k2
+    return _sgn(c) * (k - params.k_sum * upper0)

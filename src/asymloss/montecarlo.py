@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ErrorDistribution
+from .errors import RangeError
 from .loss_model import LossParams, loss
 
 __all__ = ["McEstimate", "estimate_loss_stats", "estimate_quantile"]
@@ -70,13 +71,17 @@ def estimate_loss_stats(
         y = loss(chunk + c, params)
         if pivot is None:
             pivot = float(y[0])
-        d = y - pivot
-        d2 = d * d
-        s1 += float(d.sum())
-        s2 += float(d2.sum())
-        s3 += float((d2 * d).sum())
-        s4 += float((d2 * d2).sum())
+        # Overflow lands in the sums as inf, which the check below refuses.
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = y - pivot
+            d2 = d * d
+            s1 += float(d.sum())
+            s2 += float(d2.sum())
+            s3 += float((d2 * d).sum())
+            s4 += float((d2 * d2).sum())
 
+    if not all(math.isfinite(s) for s in (s1, s2, s3, s4)):
+        raise RangeError("power sums of the simulated losses overflow float64")
     delta = s1 / n
     mean = pivot + delta
     m2 = s2 / n - delta * delta

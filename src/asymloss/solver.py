@@ -7,19 +7,21 @@ loss, never raising it -- so the solver reports both the first- and
 second-moment effects, plus the beta kernel that certificates the
 variance claim.
 
-Root finding is bracketed Brent iteration on the expected-loss
-derivative, polished with a few safeguarded Newton steps (the
-derivative's own slope is (k1 + k2) f(c)).  Densities that vanish on an
-interval make the optimizer set-valued; the solver then reports the
-smallest-magnitude optimum and flags it.
+The solver starts from the distribution's own quantile at that
+fractile and polishes it with at most two safeguarded Newton steps on
+the expected-loss derivative in tail form (its slope is (k1 + k2) f(c)).
+Densities that vanish on an interval make the optimizer set-valued; the
+quantile is then the smallest-magnitude optimum, which the solver
+reports and flags.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
-from scipy import optimize
+import numpy as np
 
 from .distributions import ErrorDistribution
 from .errors import CrossCheckError, NumericError, RangeError
@@ -69,87 +71,61 @@ def _close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def solve_offset(
-    dist: ErrorDistribution,
-    params: LossParams,
-    *,
-    residual_tol: float = RESIDUAL_TOL,
-    cross_check_tol: float = CROSS_CHECK_TOL,
-) -> OffsetSolution:
+def solve_offset(dist: ErrorDistribution, params: LossParams) -> OffsetSolution:
     """Minimize c -> E[L(Z + c)] and report the moments at 0 and C.
 
     Raises
     ------
     NumericError
-        If no bracket can be found or the residual tolerance cannot be met.
+        If the derivative at C misses ``RESIDUAL_TOL`` (scaled down to the
+        smaller cost, plus what one ulp of C moves it).
     CrossCheckError
         If independent expressions for the moments at C disagree beyond
-        ``cross_check_tol`` (relative).
+        ``CROSS_CHECK_TOL`` (relative).
     """
     g = lambda c: d_expected_loss(dist, params, c)
     ks = params.k_sum
-    # Scale below which the derivative is considered exactly critical;
-    # on a flat stretch of the CDF it is constant up to rounding of ks.
-    flat_tol = 1e-12 * ks
+    k_min = min(params.k1, params.k2)
 
     if params.k1 == params.k2:
         # g(0) = 0 identically; symmetry pins the optimum at the median.
-        c_opt, flat = 0.0, False
+        c_opt, gc, flat = 0.0, 0.0, False
     else:
+        # F(C) = k2/(k1 + k2) means P(|Z| <= |C|) = |k1 - k2|/(k1 + k2).
         side = 1.0 if params.k2 > params.k1 else -1.0
-        g0 = g(0.0)
-        hi = max(dist.scale, 1e-12)
-        for _ in range(300):
-            if g(side * hi) * g0 < 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise NumericError("could not bracket the critical fractile")
-        lo, up = (0.0, side * hi) if side > 0 else (side * hi, 0.0)
-        root = optimize.brentq(
-            g, lo, up, xtol=1e-14 * max(1.0, dist.scale), rtol=8.9e-16, maxiter=200
-        )
-
-        # Newton polish: the derivative of g is ks * f(c).
-        for _ in range(4):
-            fc = float(dist.pdf(root))
-            gc = g(root)
+        q = abs(params.k_diff) / ks
+        with np.errstate(divide="ignore", over="ignore"):
+            c_opt = side * float(dist._magnitude_quantile(q))
+        if not math.isfinite(c_opt):
+            raise NumericError(f"the magnitude quantile at {q!r} is not a finite float64")
+        gc = g(c_opt)
+        for _ in range(2):
+            fc = float(dist.pdf(c_opt))
             if fc <= 0.0 or gc == 0.0:
                 break
-            step = gc / (ks * fc)
-            candidate = root - step
-            if abs(g(candidate)) < abs(gc):
-                root = candidate
-            else:
+            candidate = c_opt - gc / (ks * fc)
+            g_candidate = g(candidate)
+            if abs(g_candidate) >= abs(gc):
                 break
+            c_opt, gc = candidate, g_candidate
 
-        # A vanished density at the root means a whole interval of ties;
-        # walk back to the smallest-magnitude end of the flat stretch.
-        probe = abs(root) + 1e-6 * max(dist.scale, abs(root))
-        flat = abs(g(side * probe)) <= flat_tol
-        if flat:
-            lo_m, hi_m = 0.0, abs(root)
-            for _ in range(200):
-                mid = 0.5 * (lo_m + hi_m)
-                if abs(g(side * mid)) <= flat_tol:
-                    hi_m = mid
-                else:
-                    lo_m = mid
-            root = side * hi_m
-        c_opt = root
+        # A derivative that stays critical just beyond C means a whole
+        # interval of ties; the quantile already sits at its near end.
+        probe = abs(c_opt) + 1e-6 * max(dist.scale, abs(c_opt))
+        flat = abs(g(side * probe)) <= 1e-12 * k_min
 
-    residual = g(c_opt)
-    if abs(residual) > residual_tol:
+    residual = gc + 0.0  # + 0.0 turns -0.0 into 0.0
+    tol = RESIDUAL_TOL * min(1.0, k_min) + ks * float(dist.pdf(c_opt)) * math.ulp(c_opt)
+    if abs(residual) > tol:
         raise NumericError(
-            f"offset residual {residual:.3e} exceeds {residual_tol:.1e}",
-            achieved=abs(residual),
+            f"offset residual {residual:.3e} exceeds {tol:.1e}", achieved=abs(residual)
         )
 
     # Moments at the optimum, each via two independent arrangements.
     table_c = dist.partial_moments(abs(c_opt))
     expected_c = expected_loss(dist, params, c_opt, table=table_c)
     expected_c_direct = ks * table_c.upper[1]  # the cancelled form, valid only at C
-    if not _close(expected_c, expected_c_direct, cross_check_tol):
+    if not _close(expected_c, expected_c_direct, CROSS_CHECK_TOL):
         raise CrossCheckError(
             f"expected loss at C disagrees between routes: "
             f"{expected_c!r} vs {expected_c_direct!r}"
@@ -158,7 +134,7 @@ def solve_offset(
     variance_c = variance_of_loss(dist, params, c_opt, table=table_c)
     e2_c = expected_loss_sq(dist, params, c_opt, table=table_c)
     variance_c_direct = e2_c - expected_c_direct * expected_c_direct
-    if not _close(variance_c, variance_c_direct, cross_check_tol):
+    if not _close(variance_c, variance_c_direct, CROSS_CHECK_TOL):
         raise CrossCheckError(
             f"variance at C disagrees between routes: "
             f"{variance_c!r} vs {variance_c_direct!r}"

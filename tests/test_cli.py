@@ -174,8 +174,10 @@ class TestAnalyzeInputErrors:
     lambda tmp: ["simulate", "--input", str(tmp / "blank.csv"), "--k1", "1", "--k2", "2"],
     lambda tmp: ["analyze", "--input", str(tmp / "short.csv"), "--k1", "1", "--k2", "2"],
     lambda tmp: ["simulate", "--input", str(tmp / "long.csv"), "--k1", "1", "--k2", "2"],
+    lambda tmp: ["simulate", "--input", str(tmp / "inf.csv"), "--k1", "1", "--k2", "2"],
 ], ids=["non-utf8-csv", "directory-input", "negative-n", "tiny-mc-n",
-        "header-only-csv", "blank-rows-csv", "one-field-pair-csv", "over-long-cell-csv"])
+        "header-only-csv", "blank-rows-csv", "one-field-pair-csv", "over-long-cell-csv",
+        "inf-pair-csv"])
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "latin1.csv").write_bytes(b"error\n1.5\n\xe9\xff\n")
     (tmp_path / "header.csv").write_bytes(b"error\n")
@@ -183,6 +185,7 @@ def test_bad_input_exits_1_with_one_error_line(argv, tmp_path, capsys):
     (tmp_path / "short.csv").write_bytes(b"y,yhat\n1.0\n2,3\n")
     # One cell longer than csv's default field size limit (131 072 characters).
     (tmp_path / "long.csv").write_bytes(b"error\n1.5\n" + b" " * 140_000 + b"x\n")
+    (tmp_path / "inf.csv").write_bytes(b"y,yhat\n" + b"inf,inf\n" * 40)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv(tmp_path)) == 1
@@ -195,6 +198,18 @@ def test_underflowing_scale_exits_3_with_one_error_line(capsys):
     assert main(["analyze", "--dist", "laplace:b=1e-300", "--k1", "1", "--k2", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "underflow" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", [
+    "uniform:w=1e300", "gg:a=3,b=1e100", "laplace:b=1e300", "gauss:sigma=1e300",
+])
+def test_overflowing_scale_exits_3_with_one_error_line(spec, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", "--dist", spec, "--k1", "1", "--k2", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
 
 
 class TestCsvReader:

@@ -8,6 +8,7 @@ forms.
 
 import math
 from dataclasses import asdict
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -378,6 +379,17 @@ class TestQuadratureFallback:
         assert t.lower[1] == pytest.approx(0.4 ** 2 / 2 - 0.4 ** 3 / 3, abs=1e-10)
         assert t.lower[2] == pytest.approx(0.4 ** 3 / 3 - 0.4 ** 4 / 4, abs=1e-10)
         assert t.lower[0] + t.upper[0] == pytest.approx(0.5, abs=1e-10)
+        # points where a quadrature over [x, inf) misjudged its own error
+        for x in (0.3996905, 0.999):
+            upper = Triangular().partial_moments(x).upper
+            r = Fraction(x)
+            exact = (
+                (1 - r) ** 2 / 2,
+                Fraction(1, 6) - r ** 2 / 2 + r ** 3 / 3,
+                Fraction(1, 12) - r ** 3 / 3 + r ** 4 / 4,
+            )
+            for k in range(3):
+                assert abs(upper[k] - float(exact[k])) <= 1e-15
 
     def test_quantile_bisection(self):
         # magnitude CDF m - m^2/2 = 0.375 at m = 0.5

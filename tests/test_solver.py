@@ -2,9 +2,13 @@
 
 import math
 from dataclasses import asdict
+from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _oracles import fractile_root
 from _testdists import GappedDensity, Triangular
@@ -21,6 +25,7 @@ from asymloss import (
     expected_loss,
     savings_report,
     solve_offset,
+    solver,
 )
 
 LN2 = math.log(2.0)
@@ -47,6 +52,11 @@ class TestKnownOffsets:
         assert sol.C == pytest.approx(LN2, abs=1e-12)
         assert abs(sol.residual) <= 1e-10
         assert sol.flat_optimum is False
+
+    def test_zero_residual_is_unsigned(self):
+        # the tail form is sgn(C) * (...), which is -0.0 at a root with C < 0
+        sol = solve_offset(Gaussian(2.0), LossParams(5.0, 1.0))
+        assert sol.residual == 0.0 and math.copysign(1.0, sol.residual) == 1.0
 
     def test_gaussian_quartiles(self):
         sol = solve_offset(Gaussian(1.0), LossParams(3.0, 1.0))
@@ -114,6 +124,33 @@ class TestSolutionInvariants:
         assert lo.C == pytest.approx(-hi.C, rel=1e-9)
         assert abs(hi.residual) <= 1e-10 and abs(lo.residual) <= 1e-10
 
+    @pytest.mark.parametrize("e", range(-12, 9))
+    def test_closed_forms_across_cost_ratios(self, e):
+        # |C| solves a tail equation, so it stays exact where F(C) rounds to 1.
+        params = LossParams(1.0, 10.0 ** e)
+        with mpmath.workdps(40):
+            k1, k2 = mpmath.mpf(params.k1), mpmath.mpf(params.k2)
+            side = 1 if k2 >= k1 else -1
+            laplace_ref = float(side * mpmath.log((k1 + k2) / (2 * min(k1, k2))))
+            uniform_ref = float(2 * (k2 - k1) / (k1 + k2))
+        for dist, ref in [(Laplace(1.0), laplace_ref), (Uniform(2.0), uniform_ref)]:
+            sol = solve_offset(dist, params)
+            assert abs(sol.C - ref) <= 2 * math.ulp(ref)
+            assert sol.flat_optimum is False
+
+    @given(
+        family=st.sampled_from([Laplace, Gaussian, partial(GeneralizedGaussian, 0.75)]),
+        b=st.floats(1e-300, 1e140),
+        costs=st.sampled_from([(1.0, 3.0), (3.0, 1.0), (1.0, 1e6)]),
+    )
+    @example(family=Laplace, b=1e-15, costs=(1.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_offset_scales_with_the_distribution(self, family, b, costs):
+        params = LossParams(*costs)
+        unit = solve_offset(family(1.0), params).C
+        scaled = solve_offset(family(b), params).C
+        assert abs(scaled - b * unit) <= 4 * math.ulp(b * unit)
+
     @pytest.mark.parametrize("dist", [Laplace(1.0), Gaussian(0.5)], ids=repr)
     def test_perturbations_cost_more(self, dist):
         params = LossParams(1.0, 3.0)
@@ -152,6 +189,9 @@ class TestFlatOptimum:
         assert expected_loss(d, p, 1.5) == pytest.approx(sol.expected_at_C, rel=1e-12)
         assert expected_loss(d, p, 2.0) == pytest.approx(sol.expected_at_C, rel=1e-12)
 
+    def test_plateau_edge_is_exact(self):
+        assert solve_offset(GappedDensity(), LossParams(1.0, 3.0)).C == 1.0
+
     def test_plateau_mirrored(self):
         sol = solve_offset(GappedDensity(), LossParams(3.0, 1.0))
         assert sol.flat_optimum is True
@@ -173,21 +213,28 @@ class TestFallbackSolve:
 class TestFailureModes:
     def test_unbracketable_fractile(self):
         class Capped(Laplace):
-            # reachable CDF tops out at 0.9: the 0.99 fractile has no root
+            # reachable CDF tops out at 0.9 on both sides of the table:
+            # the 0.99 fractile has no root
             def _half_moment_below(self, k, x):
                 v = super()._half_moment_below(k, x)
                 return np.minimum(v, 0.4) if k == 0 else v
 
+            def _half_moment_above(self, k, x):
+                v = super()._half_moment_above(k, x)
+                return np.maximum(v, 0.1) if k == 0 else v
+
         with pytest.raises(NumericError):
             solve_offset(Capped(1.0), LossParams(1.0, 99.0))
 
-    def test_residual_gate(self):
+    def test_residual_gate(self, monkeypatch):
+        monkeypatch.setattr(solver, "RESIDUAL_TOL", -1.0)
         with pytest.raises(NumericError):
-            solve_offset(Laplace(1.0), LossParams(1.0, 3.0), residual_tol=-1.0)
+            solve_offset(Laplace(1.0), LossParams(1.0, 3.0))
 
-    def test_cross_check_gate(self):
+    def test_cross_check_gate(self, monkeypatch):
+        monkeypatch.setattr(solver, "CROSS_CHECK_TOL", -1.0)
         with pytest.raises(CrossCheckError):
-            solve_offset(Laplace(1.0), LossParams(1.0, 3.0), cross_check_tol=-1.0)
+            solve_offset(Laplace(1.0), LossParams(1.0, 3.0))
 
 
 class TestSavingsReport:
