@@ -51,7 +51,6 @@ from .errors import (
     DegenerateDistributionError,
     InsufficientDataError,
     NumericError,
-    RangeError,
 )
 from .inequalities import MARGIN_TOL, InequalityReport, sweep, sweep_eq1
 from .loss_model import LossParams, loss
@@ -202,6 +201,26 @@ def parse_grid_spec(spec: str):
     return sweep(dists, n_points=points, span=span)
 
 
+def _within_field_limit(path: str) -> bool:
+    """False when a cell of the file may exceed csv's field size limit.
+
+    An unquoted cell that long spans a whole aligned block of half the
+    limit with no comma or line break in it (each is one byte in UTF-8); a
+    quoted cell may hold both, so a long file with a quote is not cleared
+    either.  Reads the file in blocks, so memory stays at one block.
+    """
+    limit = csv.field_size_limit()
+    step = max(limit // 2, 1)
+    size, quoted = 0, False
+    with open(path, "rb") as raw:
+        while block := raw.read(step):
+            size += len(block)
+            quoted = quoted or b'"' in block
+            if len(block) == step and not (b"," in block or b"\n" in block or b"\r" in block):
+                return False
+    return size <= limit or not quoted
+
+
 def _parse_body(fh, n_cols: int):
     """The rows after the header as an (n, n_cols) array, or None.
 
@@ -244,7 +263,9 @@ def read_error_csv(path: str) -> np.ndarray:
             )
         # Parse from this handle, not from the path: numpy opens a path by its
         # suffix (.gz, .bz2, ...), and skiprows counts lines, not csv records.
-        table = _parse_body(fh, len(cols))
+        # A file that may hold a cell over csv's field size limit goes to the
+        # row loop, which refuses such a cell wherever it sits.
+        table = _parse_body(fh, len(cols)) if _within_field_limit(path) else None
         if table is not None:
             with np.errstate(invalid="ignore"):  # inf - inf: refused later as non-finite
                 return table[:, 1] - table[:, 0] if pair_mode else table[:, 0]
@@ -601,7 +622,9 @@ def main(argv=None) -> int:
         # csv.Error is csv's own refusal, e.g. a cell over its field size limit.
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except (NumericError, CrossCheckError, RangeError) as exc:
+    except (NumericError, CrossCheckError, OverflowError) as exc:
+        # OverflowError covers RangeError and float arithmetic past float64,
+        # such as squaring a cost of 1e200.
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC
 

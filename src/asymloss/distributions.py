@@ -13,9 +13,11 @@ Closed forms are used wherever the family admits them: the generalized
 Gaussian reduces to regularized incomplete gamma functions, the Gaussian
 to erf/erfc, the Laplace and uniform families to elementary expressions,
 and the piecewise-constant empirical family to cumulative sums.  A custom
-subclass only has to provide ``pdf``; the base class then falls back to
-adaptive quadrature (and bisection for quantiles), slower but correct, and
-takes each upper moment as a half-line total minus the lower moment.
+subclass only has to provide a vectorized ``pdf``; the base class then
+builds, once per instance, a table of Gauss-Legendre panels over the
+density's support and answers every moment and quantile from it: sums of
+whole panels plus one short pass inside the panel that holds the point,
+and a safeguarded Newton-bisection there for quantiles.
 
 Sampling is deterministic and chunked: a draw of n variates is produced in
 fixed-size chunks, chunk i seeded with ``default_rng([seed, i])``, so the
@@ -32,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 from scipy import special as _sc
 
 from .errors import (
@@ -59,9 +60,16 @@ __all__ = [
 # Chunk length for deterministic streamed sampling.
 SAMPLE_CHUNK = 1 << 16
 
-# Quadrature targets for the generic fallback path.
-_QUAD_ABS = 1e-11
-_QUAD_REL = 1e-9
+# Panel table of the pdf-only fallback: 20-node Gauss-Legendre rule, the
+# disagreement allowed per panel (relative to that order's half-line
+# total), the most panels a table may hold, the allowed error of the
+# half-line mass 1/2, and the Newton-bisection steps per quantile.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_PANEL_REL = 1e-15
+_PANEL_BUDGET = 20_000
+_MASS_TOL = 1e-9
+_NEWTON_MAX = 100
+_TINY = np.finfo(float).tiny
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -116,16 +124,201 @@ class MomentTable:
         return self.lower[k] + self.upper[k]
 
 
+def _gauss(values, half):
+    """Gauss-Legendre sums of each row of node values, times the half widths.
+    numpy reduces each row on its own, so a point rounds the same alone or
+    in an array (a BLAS matrix product does not)."""
+    return np.sum(values * _GL_WEIGHTS, axis=-1) * half
+
+
+class _PanelTable:
+    """Partial moments and magnitude quantiles of a density given by its pdf.
+
+    [0, end] is covered by Gauss-Legendre panels, where ``end`` is the
+    first point at which the pdf is exactly 0 (a non-increasing density
+    is positive on an interval around 0 and zero past it).  The starting
+    edges double away from the half-height point, so the table does not
+    depend on the scale; then every panel whose 20-node value disagrees
+    with the sum of its halves by more than ``_PANEL_REL`` of that
+    order's total is bisected.  Sums of the panel values from the bottom
+    (``cum``) and from the top (``tail``) serve every query, with one
+    short Gauss-Legendre pass inside the panel that holds the point.
+    The pdf is only ever called on a 1-D float array.
+    """
+
+    def __init__(self, pdf):
+        self._pdf = pdf
+        f0 = float(self._density(np.zeros(1))[0])
+        if not (math.isfinite(f0) and f0 > 0.0 and math.isfinite(1.0 / f0)):
+            raise NumericError(f"the density at 0 must be finite and positive, got {f0!r}")
+        # f(x) x <= integral_0^x f <= 1/2, so the half-height point lies
+        # below 1/f0; the anchor is the last grid point above half height.
+        # The grid spans the float64 range, where a pdf may overflow inside.
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = np.ldexp(1.0 / f0, np.arange(-1100, 1100))
+            grid = grid[(grid > 0.0) & np.isfinite(grid)]
+            f = self._density(grid)
+        anchor = grid[max(int(np.argmax(~(f > 0.5 * f0))) - 1, 0)]
+        if np.all(f > 0.0):
+            raise NumericError("the density stays positive past the float64 range")
+        first_zero = int(np.argmax(~(f > 0.0)))
+        lo, hi = (grid[first_zero - 1] if first_zero else 0.0), grid[first_zero]
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if self._density(np.array([mid]))[0] > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        self.end = hi
+        with np.errstate(over="ignore"):
+            inner = np.ldexp(anchor, np.arange(-8, 1100))
+        edges = np.concatenate([[0.0], inner[inner < hi], [hi]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.edges, values = self._refine(edges)
+        self.cum = np.concatenate([np.zeros((3, 1)), np.cumsum(values, axis=1)], axis=1)
+        self.tail = np.concatenate(
+            [np.cumsum(values[:, ::-1], axis=1)[:, ::-1], np.zeros((3, 1))], axis=1
+        )
+        mass_error = abs(2.0 * self.tail[0, 0] - 1.0)
+        if not mass_error <= _MASS_TOL:
+            raise NumericError(
+                f"the density's half-line mass is {self.tail[0, 0]!r}, not 1/2",
+                achieved=mass_error,
+            )
+
+    def _density(self, t):
+        return np.asarray(self._pdf(t.ravel()), dtype=float).reshape(t.shape)
+
+    @staticmethod
+    def _nodes(a, b):
+        """Gauss-Legendre nodes on each [a_i, b_i], one row per interval,
+        and the half widths that scale the weights."""
+        half = 0.5 * (b - a)
+        return (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES, half
+
+    def _moments(self, a, b):
+        """integral_a^b t^k f for k = 0, 1, 2 on each panel, shape (3, n)."""
+        t, half = self._nodes(a, b)
+        f = self._density(t)
+        return np.stack([_gauss(t ** k * f, half) for k in range(3)])
+
+    def _partial(self, k, a, b):
+        t, half = self._nodes(a, b)
+        return _gauss(t ** k * self._density(t), half)
+
+    def _refine(self, edges):
+        a, b = edges[:-1], edges[1:]
+        whole = self._moments(a, b)
+        done_a, done_v = [], []
+        n_done = 0
+        while a.size:
+            mid = 0.5 * (a + b)
+            halves = self._moments(np.concatenate([a, mid]), np.concatenate([mid, b]))
+            left, right = halves[:, : a.size], halves[:, a.size :]
+            totals = sum(v.sum(axis=1) for v in done_v) + (left + right).sum(axis=1)
+            # A NaN or inf disagreement is kept, not refined: the mass check
+            # or the moment tables' finiteness gate reports it.
+            gap = np.abs(whole - (left + right))
+            split = np.any(gap > _PANEL_REL * np.abs(totals)[:, None] + _TINY, axis=0)
+            split &= (a < mid) & (mid < b)
+            done_a.append(a[~split])
+            done_v.append(whole[:, ~split])
+            n_done += int(np.sum(~split))
+            if split.any() and n_done + 2 * int(np.sum(split)) > _PANEL_BUDGET:
+                worst = float(np.max(gap[:, split] / (np.abs(totals)[:, None] + _TINY)))
+                raise NumericError(
+                    f"the panel table needs more than {_PANEL_BUDGET} panels", achieved=worst
+                )
+            a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
+            whole = np.concatenate([left[:, split], right[:, split]], axis=1)
+        lo = np.concatenate(done_a)
+        order = np.argsort(lo)
+        return np.append(lo[order], self.end), np.concatenate(done_v, axis=1)[:, order]
+
+    def _locate(self, x):
+        """x (flattened, clipped to [0, end]) and the panel holding each entry."""
+        flat = np.minimum(np.asarray(x, dtype=float).ravel(), self.end)
+        j = np.searchsorted(self.edges, flat, side="right") - 1
+        return flat, np.clip(j, 0, self.edges.size - 2)
+
+    def below(self, k, x):
+        flat, j = self._locate(x)
+        out = self.cum[k, j] + self._partial(k, self.edges[j], flat)
+        return out.reshape(np.shape(x))
+
+    def above(self, k, x):
+        flat, j = self._locate(x)
+        out = self.tail[k, j + 1] + self._partial(k, flat, self.edges[j + 1])
+        return out.reshape(np.shape(x))
+
+    def magnitude_quantile(self, q):
+        """Smallest m with P(|Z| <= m) = q.  Levels above 1/2 are solved on
+        the tail side, against the mass (1 - q)/2 beyond m."""
+        q = np.asarray(q, dtype=float)
+        flat = q.ravel()
+        tail_side = flat > 0.5
+        target = np.where(tail_side, 0.5 * (1.0 - flat), 0.5 * flat)
+        # First edge whose mass below reaches the target (or mass above
+        # falls to it); the answer is that edge or lies in the panel before.
+        i = np.where(
+            tail_side,
+            np.searchsorted(-self.tail[0], -target, side="left"),
+            np.searchsorted(self.cum[0], target, side="left"),
+        )
+        i = np.clip(i, 0, self.edges.size - 1)
+        at_edge = np.where(tail_side, self.tail[0, i], self.cum[0, i]) == target
+        j = np.clip(i - 1, 0, self.edges.size - 2)
+        start, stop = self.edges[j], self.edges[j + 1]
+        lo, hi = start.copy(), stop.copy()
+        # Residual r(m), increasing in m with slope f(m) on both sides.
+        base = np.where(tail_side, target - self.tail[0, j + 1], self.cum[0, j] - target)
+        mass = self.cum[0, j + 1] - self.cum[0, j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.where(tail_side, 1.0 - base / mass, -base / mass)
+        m = start + (stop - start) * np.clip(np.nan_to_num(frac), 0.0, 1.0)
+        out = np.where(at_edge, self.edges[i], m)
+        active = np.flatnonzero(~at_edge)
+        for _ in range(_NEWTON_MAX):
+            if not active.size:
+                return out.reshape(q.shape)
+            ma, la, ha, ts = m[active], lo[active], hi[active], tail_side[active]
+            t, half = self._nodes(np.where(ts, ma, start[active]), np.where(ts, stop[active], ma))
+            f = self._density(np.concatenate([t.ravel(), ma]))
+            part = _gauss(f[: t.size].reshape(t.shape), half)
+            slope = f[t.size :]
+            r = base[active] + np.where(ts, -part, part)
+            la = np.where(r < 0.0, ma, la)
+            ha = np.where(r >= 0.0, ma, ha)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = ma - r / slope
+            # A root, a Newton step within 2 ulp, or a bracket of adjacent
+            # floats, whose upper end is the smallest point reaching q.
+            root = (r == 0.0) & (slope > 0.0)
+            settled = (slope > 0.0) & (np.abs(newton - ma) <= 2.0 * np.spacing(ma))
+            mid = 0.5 * (la + ha)
+            collapsed = ~((la < mid) & (mid < ha))
+            out[active] = np.where(root, ma, np.where(settled, np.clip(newton, la, ha), ha))
+            inside = (slope > 0.0) & (newton > la) & (newton < ha)
+            m[active], lo[active], hi[active] = np.where(inside, newton, mid), la, ha
+            active = active[~(root | settled | collapsed)]
+        if active.size:
+            raise NumericError(f"magnitude quantile did not converge in {_NEWTON_MAX} steps")
+        return out.reshape(q.shape)
+
+
 class ErrorDistribution:
     """Base class for symmetric, centrally peaked error distributions.
 
     Subclasses must implement ``pdf`` and may override the hooks
-    ``_half_moment_below``, ``_half_total`` and ``_magnitude_quantile``
-    with closed forms.  The upper side ``_half_moment_above`` is derived
-    as total minus lower; a family overrides it only where a direct
-    tail form is more accurate.  Instances are immutable after
-    construction and safe for concurrent use; sampling derives all
-    randomness from explicit seeds.
+    ``_half_moment_below``, ``_half_moment_above`` and
+    ``_magnitude_quantile`` with closed forms.  A hook left alone is
+    served by a panel table built from ``pdf`` on first use and kept for
+    the instance; building it raises NumericError when the density is not
+    finite at 0, stays positive past the float64 range, does not carry
+    mass 1/2 on [0, inf), or needs more panels than the table allows.
+    Instances are immutable after construction, apart from that cache,
+    and safe for concurrent use; sampling derives all randomness from
+    explicit seeds.
     """
 
     kind = "custom"
@@ -145,63 +338,25 @@ class ErrorDistribution:
         return {name: getattr(self, name) for name in names}
 
     def _half_moment_below(self, k, x):
-        """integral_0^x t^k f(t) dt for x >= 0; generic quadrature."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return self._quad_moment(k, 0.0, float(x))
-        return np.array([self._quad_moment(k, 0.0, xi) for xi in x.ravel()]).reshape(x.shape)
-
-    def _half_total(self, k):
-        """integral_0^inf t^k f(t) dt; generic quadrature, cached per order."""
-        totals = self.__dict__.setdefault("_totals_cache", {})
-        if k not in totals:
-            totals[k] = self._quad_moment(k, 0.0, np.inf)
-        return totals[k]
+        """integral_0^x t^k f(t) dt for x >= 0, from the panel table."""
+        return self._panels().below(k, x)
 
     def _half_moment_above(self, k, x):
-        """integral_x^inf t^k f(t) dt for x >= 0, as total minus lower."""
-        return np.maximum(self._half_total(k) - self._half_moment_below(k, x), 0.0)
+        """integral_x^inf t^k f(t) dt for x >= 0, summed from the top of the
+        panel table, so it keeps its relative accuracy far out."""
+        return self._panels().above(k, x)
 
     def _magnitude_quantile(self, q):
-        """Smallest m >= 0 with P(|Z| <= m) = q; generic root bracketing."""
-        q = np.asarray(q, dtype=float)
-        if q.ndim == 0:
-            return self._root_magnitude(float(q))
-        return np.array([self._root_magnitude(qi) for qi in q.ravel()]).reshape(q.shape)
+        """Smallest m >= 0 with P(|Z| <= m) = q, from the panel table."""
+        return self._panels().magnitude_quantile(q)
 
-    # ------------------------------------------------------------------
-    # generic numerics
-    # ------------------------------------------------------------------
-
-    def _quad_moment(self, k, lo, hi):
-        if hi <= lo:
-            return 0.0
-
-        def integrand(t):
-            return (t ** k) * float(self.pdf(t)) if k else float(self.pdf(t))
-
-        value, err = integrate.quad(
-            integrand, lo, hi, epsabs=_QUAD_ABS, epsrel=_QUAD_REL, limit=200
-        )
-        if err > 10.0 * max(_QUAD_ABS, _QUAD_REL * abs(value)):
-            raise NumericError(
-                f"quadrature of order-{k} moment on [{lo}, {hi}] did not converge",
-                achieved=err,
-            )
-        return value
-
-    def _root_magnitude(self, q):
-        if q <= 0.0:
-            return 0.0
-        half_mass = lambda m: 2.0 * float(self._half_moment_below(0, m)) - q
-        hi = max(self.scale, 1e-12)
-        for _ in range(200):
-            if half_mass(hi) >= 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise NumericError(f"could not bracket the magnitude quantile for q={q}")
-        return optimize.brentq(half_mass, 0.0, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    def _panels(self):
+        # Built on first use and kept, as _m2_cache is.
+        table = getattr(self, "_panel_cache", None)
+        if table is None:
+            table = _PanelTable(self.pdf)
+            object.__setattr__(self, "_panel_cache", table)
+        return table
 
     # ------------------------------------------------------------------
     # shared public API
@@ -319,12 +474,16 @@ class GeneralizedGaussian(ErrorDistribution):
         if not math.isfinite(gamma_a):
             raise RangeError(f"gamma(a) overflows float64 at a={a!r}")
         denom = a * b * gamma_a
-        if math.isfinite(denom):
+        if math.isfinite(denom) and denom > 0.0:
             self._norm = 0.5 / denom
         else:
             # The product overflows before gamma(a) does (a near 171, or a
-            # large b); the constant itself may still be a (subnormal) float.
-            self._norm = math.exp(-(math.log(2.0 * a) + math.log(b) + _sc.gammaln(a)))
+            # large b), or underflows at a subnormal b; the constant itself
+            # may still be a (subnormal) float.
+            try:
+                self._norm = math.exp(-(math.log(2.0 * a) + math.log(b) + _sc.gammaln(a)))
+            except OverflowError:
+                raise RangeError(f"the density at 0 overflows float64 at a={a!r}, b={b!r}") from None
         # Half-line moments of orders 0..2, needed by every moment table.
         self._totals = tuple(self._half_total(k) for k in range(3))
 
@@ -364,8 +523,12 @@ class GeneralizedGaussian(ErrorDistribution):
         return self._totals[k] * _sc.gammaincc((k + 1.0) * self.a, self._standardized(x))
 
     def _magnitude_quantile(self, q):
+        q = np.asarray(q, dtype=float)
+        x = _sc.gammaincinv(self.a, q)
         with np.errstate(over="ignore"):
-            return self.b * _sc.gammaincinv(self.a, q) ** self.a
+            # Below the smallest normal float, where x underflows at small a,
+            # P(a, x) = x^a / gamma(a + 1) to relative O(x): b x^a = b q a gamma(a).
+            return self.b * np.where(x < _TINY, q * self.a * _sc.gamma(self.a), x ** self.a)
 
 
 class Gaussian(ErrorDistribution):
@@ -658,6 +821,9 @@ def fit_empirical(errors, *, min_observations=30):
     breaks = np.concatenate([[0.0], values])
     widths = np.diff(breaks)
     raw = (counts / n) / widths  # empirical magnitude density per bin
+    # Imported here: the rest of the package has no use for scipy.optimize.
+    from scipy import optimize
+
     iso = optimize.isotonic_regression(raw, weights=widths, increasing=False).x
     violation = 0.5 * float(np.sum(np.abs(raw - iso) * widths))
 

@@ -100,10 +100,11 @@ def solve_offset(dist: ErrorDistribution, params: LossParams) -> OffsetSolution:
             raise NumericError(f"the magnitude quantile at {q!r} is not a finite float64")
         gc = g(c_opt)
         for _ in range(2):
-            fc = float(dist.pdf(c_opt))
-            if fc <= 0.0 or gc == 0.0:
+            # The slope is 0 on a flat stretch, or where ks * f underflows.
+            slope = ks * float(dist.pdf(c_opt))
+            if slope <= 0.0 or gc == 0.0:
                 break
-            candidate = c_opt - gc / (ks * fc)
+            candidate = c_opt - gc / slope
             g_candidate = g(candidate)
             if abs(g_candidate) >= abs(gc):
                 break

@@ -9,7 +9,7 @@ class Triangular(ErrorDistribution):
     """Density 1 - |x| on [-1, 1], defined through pdf alone.
 
     No moment or quantile overrides, so every evaluation goes through the
-    base class's quadrature and bisection fallbacks.
+    base class's panel table.
     """
 
     kind = "triangular"
@@ -18,6 +18,19 @@ class Triangular(ErrorDistribution):
         x = np.asarray(x, dtype=float)
         out = np.where(np.abs(x) <= 1.0, 1.0 - np.abs(x), 0.0)
         return float(out) if out.ndim == 0 else out
+
+
+class PdfOnly(ErrorDistribution):
+    """Another distribution seen through its pdf alone, so that the panel
+    table can be checked against that distribution's closed forms."""
+
+    kind = "pdf_only"
+
+    def __init__(self, base):
+        self.base = base
+
+    def pdf(self, x):
+        return self.base.pdf(x)
 
 
 class GappedDensity(ErrorDistribution):

@@ -254,6 +254,8 @@ _NUMBER_CELLS = [
     "0", "-0", "1.5", "-2.25", "3e-5", "1E+3", "+.5", "7.", "inf", "-Infinity",
     "nan", "NaN", "-nan", "1e400", "-1e400", "4.9e-324", '"1.5"', '"-2"',
     " 1.5 ", "\t2\x0c", "\xa03", '"1.5" ', '" 4 "', "1_0", "１", "٣.٥",
+    # around csv's field size limit of 131 072 characters
+    " " * 131_000 + "3", " " * 140_000 + "1.5", '"' + " \n" * 70_000 + '2"',
 ]
 _JUNK_CELLS = [
     "", " ", '""', "abc", "nan(1)", "0x10", "1.5.2", '"1,5"', '"1""5"', '1"5',
@@ -303,7 +305,7 @@ def error_logs(draw):
 def _read_outcome(read, path):
     try:
         out = read(path)
-    except ValueError as exc:  # CliInputError, UnicodeDecodeError
+    except (ValueError, csv.Error) as exc:  # CliInputError, UnicodeDecodeError
         return type(exc), str(exc)
     return out.dtype, out.shape, out.tobytes()
 
@@ -320,6 +322,8 @@ class TestCsvParity:
     @example(data='"error\n"\n"5"\n'.encode())
     @example(data=b"error\n1,2\n3,4\n")
     @example(data=b"y,yhat\n1\n2\n")
+    @example(data=b"error\n1.5\n" + b" " * 140_000 + b"2\n")
+    @example(data=b"error\n1.5\n" + b" " * 140_000 + b"2\n \n")
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_array_or_same_error(self, data, tmp_path):
@@ -536,6 +540,109 @@ class TestSimulate:
 # ----------------------------------------------------------------------
 
 
+# Values for the fuzz below.  Each argv is either tame (every value from the
+# accepted grammar, including huge and tiny reals) or wild (any value may be
+# negative, non-finite or malformed, and flags may be missing or unknown).
+# Sizes stay small: a huge sample or grid is valid input that takes as long
+# as it asks for, not an error.
+_TAME_REALS = st.one_of(
+    *[st.floats(0.05, 20.0).map(lambda v: f"{v:.3g}")] * 4,
+    st.sampled_from(["1e12", "1e-12", "1e200", "1e-200", "1e308", "1e-308", "5e-324"]),
+)
+_WILD_REALS = st.one_of(
+    _TAME_REALS,
+    st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e400", "-1e308", "", "x", "1,5"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_TAME_SIZES = st.integers(1000, 2500).map(str)  # sample sizes: at least 1000 are needed
+_TAME_POINTS = st.integers(2, 300).map(str)
+_BAD_SIZES = st.one_of(st.integers(-3, 999).map(str), st.sampled_from(["x", "1.5", "1e3"]))
+_TAME_SEEDS = st.integers(0, 2**80).map(str)
+_WILD_SEEDS = st.one_of(_TAME_SEEDS, st.integers(-5, -1).map(str), st.sampled_from(["x", "1.0"]))
+_KEYS = {"gg": ["a", "b"], "gauss": ["sigma"], "laplace": ["b"], "uniform": ["w"]}
+
+
+@st.composite
+def _dist_specs(draw, wild, sep=","):
+    reals = _WILD_REALS if wild else _TAME_REALS
+    family = draw(st.sampled_from([*_KEYS, "cauchy", ""] if wild else [*_KEYS]))
+    keys = _KEYS.get(family, ["b"])
+    if wild and draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(["a", "b", "sigma", "w", "points"]), max_size=3))
+    return f"{family}:" + sep.join(f"{k}={draw(reals)}" for k in keys)
+
+
+@st.composite
+def _grid_specs(draw, wild):
+    reals = _WILD_REALS if wild else _TAME_REALS
+    if draw(st.integers(0, 3)):
+        extra = draw(st.sampled_from(["", ";points=5", ";span=2"]))
+        if wild:
+            extra += draw(st.sampled_from(["", ";points=1", ";points=x", ";span=inf"]))
+        return draw(_dist_specs(wild, sep=";")) + extra
+    a = ",".join(draw(st.lists(reals, min_size=1, max_size=2)))
+    lo, hi = sorted(draw(st.lists(_TAME_REALS, min_size=2, max_size=2)), key=float)
+    count = "20"
+    if wild:
+        lo, hi, count = draw(reals), draw(reals), draw(st.sampled_from(["2", "1", "2.5", "nan"]))
+    return f"eq1:a={a};x={lo},{hi},{count}"
+
+
+@st.composite
+def _argv(draw, csv_path, out_path):
+    """Options are passed as --flag=value, so that a value such as -1 is not
+    read as a flag."""
+    wild = not draw(st.integers(0, 2))
+    reals = _WILD_REALS if wild else _TAME_REALS
+    sizes = st.one_of(_TAME_SIZES, _BAD_SIZES) if wild else _TAME_SIZES
+    points = st.one_of(_TAME_POINTS, _BAD_SIZES) if wild else _TAME_POINTS
+    command = draw(st.sampled_from(["analyze", "verify", "simulate"] + ["fit"] * wild))
+    argv = [command]
+    if command == "verify":
+        argv.append(f"--grid={draw(_grid_specs(wild))}")
+    else:
+        sources = ["dist", "input"] + ["missing", "both", "none"] * wild
+        source = draw(st.sampled_from(sources))
+        if source in ("dist", "both"):
+            argv.append(f"--dist={draw(_dist_specs(wild))}")
+        if source in ("input", "both"):
+            argv.append(f"--input={csv_path}")
+        if source == "missing":
+            argv.append(f"--input={csv_path}.absent")
+        for flag in ("--k1", "--k2"):
+            if not wild or draw(st.integers(0, 5)):
+                argv.append(f"{flag}={draw(reals)}")
+        if draw(st.booleans()):
+            argv.append(f"--seed={draw(_WILD_SEEDS if wild else _TAME_SEEDS)}")
+        if command == "analyze":
+            argv += [f"--mc-n={draw(sizes)}", f"--grid-points={draw(points)}"]
+            if draw(st.booleans()):
+                argv.append(f"--span={draw(reals)}")
+        else:
+            if source != "input" or (wild and draw(st.booleans())):
+                argv.append(f"--n={draw(sizes)}")
+            if draw(st.booleans()):
+                argv.append(f"--train-frac={draw(st.floats(0.05, 0.95).map(repr) if not wild else reals)}")
+        argv += draw(st.sampled_from([[], ["--fixed-clock"]]))
+    argv += draw(st.sampled_from([[], [f"--out={out_path}"]] + [["--bogus"]] * wild))
+    return argv
+
+
+class TestMainFuzz:
+    """Over argv drawn from the CLI grammar, main() returns an exit code."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_returns_an_exit_code(self, data, tmp_path, capsys):
+        csv_path = write_errors(tmp_path / "log.csv", np.random.default_rng(3).laplace(size=60))
+        argv = data.draw(_argv(csv_path, str(tmp_path / "out.json")))
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3)
+        assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
+
+
 class TestEntryPoint:
     def test_runs_as_module(self):
         proc = subprocess.run(
@@ -549,11 +656,25 @@ class TestEntryPoint:
     def test_import_leaves_out_scipy_stats(self):
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, asymloss, asymloss.cli; print('scipy.stats' in sys.modules)"],
+             "import sys, asymloss, asymloss.cli; "
+             "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
+             "if m in sys.modules])"],
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
+
+    def test_fit_empirical_imports_optimize_on_use(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, numpy as np, asymloss; "
+             "v = np.arange(1, 21) / 20.0; "
+             "dist, _ = asymloss.fit_empirical(np.concatenate([-v, v])); "
+             "print(dist.params()['n_pieces'], 'scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["20", "True"]
 
     def test_no_arguments_is_input_error(self):
         proc = subprocess.run(

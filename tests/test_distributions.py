@@ -7,6 +7,7 @@ forms.
 """
 
 import math
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -21,20 +22,23 @@ from scipy.special import gammaln
 from scipy.stats import binomtest
 
 from _oracles import cdf_quad, moment_quad
-from _testdists import Triangular
+from _testdists import PdfOnly, Triangular
 from asymloss import (
     SAMPLE_CHUNK,
     DegenerateDistributionError,
     DomainError,
     EmpiricalSymmetric,
+    ErrorDistribution,
     Gaussian,
     GeneralizedGaussian,
     InsufficientDataError,
     Laplace,
+    NumericError,
     RangeError,
     Uniform,
     fit_empirical,
 )
+from asymloss import distributions
 
 LN2 = math.log(2.0)
 
@@ -249,6 +253,18 @@ class TestRegularized:
                 got = 2.0 * d.partial_moments(d.quantile(q)).lower[0]
                 assert got == pytest.approx(2.0 * q - 1.0, rel=1e-10)
 
+    @pytest.mark.parametrize("a", [0.005, 0.01, 0.05])
+    def test_small_shape_quantile_past_underflow(self, a):
+        # P(a, X) = 2p - 1 with X far below the smallest normal float64 for
+        # levels near 1/2; the magnitude X^a is still an ordinary float.
+        d = GeneralizedGaussian(a, 1.0)
+        with mpmath.workdps(40):
+            for p in (0.5 + 2.0 ** -52, 0.5 + 1e-15, 0.5 + 1e-10, 0.5 + 1e-5, 0.6, 0.9):
+                q = mpmath.mpf(2.0 * p - 1.0)
+                level = lambda log_m: mpmath.gammainc(a, 0, mpmath.exp(log_m / a), regularized=True) - q
+                want = mpmath.exp(mpmath.findroot(level, mpmath.log(q * mpmath.gamma(a + 1))))
+                assert d.quantile(p) == pytest.approx(float(want), rel=1e-13, abs=0)
+
 
 # ----------------------------------------------------------------------
 # structural properties
@@ -400,6 +416,79 @@ class TestQuadratureFallback:
         z = Triangular().sample(20_000, seed=5)
         assert float(np.max(np.abs(z))) <= 1.0
         assert float(np.mean(z)) == pytest.approx(0.0, abs=0.02)
+
+    def test_far_level_draw_stays_in_support(self):
+        # One draw of this sample has magnitude level u = 0.9999996269 and
+        # once landed at 1.00218; the exact magnitude is 1 - sqrt(1 - u).
+        z = Triangular().sample(32, seed=1490167079)
+        assert float(np.max(np.abs(z))) <= 1.0
+        m = float(Triangular()._magnitude_quantile(0.99999963))
+        assert abs(m - 0.99939172374699) <= 1e-12
+
+
+# One unit per distribution that stays a normal float64 at any scale:
+# b sqrt(E[(Z/b)^2]) in closed form.
+_PDF_ONLY_CASES = [
+    pytest.param(Laplace(1.0), math.sqrt(2.0), id="laplace"),
+    pytest.param(GeneralizedGaussian(3.0, 1.0), math.exp(0.5 * (gammaln(9.0) - gammaln(3.0))),
+                 id="gg_heavy"),
+    pytest.param(GeneralizedGaussian(0.3, 1e-200),
+                 1e-200 * math.exp(0.5 * (gammaln(0.9) - gammaln(0.3))), id="gg_tiny_scale"),
+]
+
+
+@pytest.mark.parametrize("base, unit", _PDF_ONLY_CASES)
+class TestPanelTableMatchesClosedForms:
+    """Unbounded supports (geometric tail panels), a cusp at 0, a tiny scale."""
+
+    def test_partial_moments(self, base, unit):
+        xs = unit * np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0])
+        got, want = PdfOnly(base).partial_moments(xs), base.partial_moments(xs)
+        for k in range(3):
+            for side in ("lower", "upper"):
+                err = np.abs(getattr(got, side)[k] - getattr(want, side)[k])
+                assert np.all(err <= 1e-12 * unit ** k), (side, k, err)
+
+    def test_quantiles(self, base, unit):
+        p = np.concatenate([np.geomspace(1e-6, 0.5, 40), 1.0 - np.geomspace(1e-6, 0.5, 40)[:-1]])
+        np.testing.assert_allclose(PdfOnly(base).quantile(p), base.quantile(p), rtol=1e-10, atol=0)
+
+
+class TestPanelTableFailures:
+    """Densities the table cannot serve raise a typed error, without a warning."""
+
+    class Scaled(ErrorDistribution):
+        def __init__(self, factor, floor=0.0):
+            self.factor, self.floor = factor, floor
+
+        def pdf(self, x):
+            return np.maximum(self.factor * np.clip(1.0 - np.abs(x), 0.0, None), self.floor)
+
+    class Step(ErrorDistribution):
+        def pdf(self, x):
+            ax = np.abs(x)
+            return np.where(ax <= 1.0 / 3.0, 1.0, np.where(ax <= 2.0 / 3.0, 0.5, 0.0))
+
+    @pytest.mark.parametrize("dist", [
+        Scaled(2.0),               # mass 1 on the half line
+        Scaled(1.0, floor=1e-300),  # positive past the float64 range
+        Scaled(math.inf),           # infinite at 0
+    ], ids=["unnormalized", "positive_everywhere", "infinite_at_zero"])
+    def test_refused(self, dist):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                dist.partial_moments(0.5)
+
+    def test_budget_exhausted(self, monkeypatch):
+        # The jump at 1/3 takes about 50 bisections to resolve.
+        assert self.Step().cdf(0.5) == pytest.approx(0.5 + 1.0 / 3.0 + 0.5 / 6.0, abs=1e-15)
+        monkeypatch.setattr(distributions, "_PANEL_BUDGET", 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as info:
+                self.Step().quantile(0.9)
+        assert info.value.achieved > 1e-15
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import asdict
+from fractions import Fraction
 from functools import partial
 
 import mpmath
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import fractile_root
-from _testdists import GappedDensity, Triangular
+from _testdists import GappedDensity, PdfOnly, Triangular
 from asymloss import (
     CrossCheckError,
     Gaussian,
@@ -208,6 +209,32 @@ class TestFallbackSolve:
         assert sol.C == pytest.approx(TRI_C_1TO3, abs=1e-9)
         assert abs(sol.residual) <= 1e-10
         assert sol.variance_at_C < sol.variance_at_zero
+
+    @pytest.mark.parametrize("e", range(-7, 8))
+    def test_triangular_c_across_cost_ratios(self, e):
+        k2 = 10.0 ** e
+        with mpmath.workdps(40):
+            exact = 1 - mpmath.sqrt(2 * mpmath.mpf(min(1.0, k2)) / (1 + mpmath.mpf(k2)))
+        want = math.copysign(float(exact), e) if e else 0.0
+        got = solve_offset(Triangular(), LossParams(1.0, k2)).C
+        assert abs(got - want) <= 2 * math.ulp(want)
+
+    @pytest.mark.parametrize("k1, k2", [(1.0, 3.0), (3.0, 1.0), (1.0, 50.0), (20.0, 1.0), (2.0, 2.5)])
+    def test_triangular_expected_at_c(self, k1, k2):
+        # E[L] at C is (k1 + k2) u1(|C|), u1(x) = 1/6 - x^2/2 + x^3/3, taken
+        # exactly at the returned C.
+        sol = solve_offset(Triangular(), LossParams(k1, k2))
+        x = Fraction(abs(sol.C))
+        want = (Fraction(k1) + Fraction(k2)) * (Fraction(1, 6) - x ** 2 / 2 + x ** 3 / 3)
+        assert abs(Fraction(sol.expected_at_C) - want) <= Fraction(1e-14) * want
+
+    @pytest.mark.parametrize("base", [Laplace(1.0), GeneralizedGaussian(3.0, 1.0),
+                                      GeneralizedGaussian(0.3, 1e-200)], ids=repr)
+    @pytest.mark.parametrize("e", [-6, -3, -1, 1, 3, 6])
+    def test_pdf_only_matches_closed_form(self, base, e):
+        params = LossParams(1.0, 10.0 ** e)
+        want = solve_offset(base, params).C
+        assert abs(solve_offset(PdfOnly(base), params).C - want) <= 8 * math.ulp(want)
 
 
 class TestFailureModes:
