@@ -169,8 +169,8 @@ def parse_grid_spec(spec: str):
             raise CliInputError("eq1 grid needs exactly the fields a=... and x=lo,hi,count")
         a_values = _parse_float_list(fields["a"], "a")
         x_parts = _parse_float_list(fields["x"], "x")
-        if len(x_parts) != 3 or x_parts[0] <= 0 or x_parts[1] <= x_parts[0]:
-            raise CliInputError("eq1 x field must be lo,hi,count with 0 < lo < hi")
+        if len(x_parts) != 3 or not 0 < x_parts[0] < x_parts[1] < math.inf:
+            raise CliInputError("eq1 x field must be lo,hi,count with 0 < lo < hi < inf")
         count = x_parts[2]
         if not (math.isfinite(count) and count >= 2 and count == int(count)):
             raise CliInputError("eq1 x count must be an integer >= 2")
@@ -623,8 +623,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except (NumericError, CrossCheckError, OverflowError) as exc:
-        # OverflowError covers RangeError and float arithmetic past float64,
-        # such as squaring a cost of 1e200.
+        # OverflowError covers RangeError and any Python float arithmetic
+        # past float64 that a RangeError gate does not yet catch.
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC
 

@@ -9,6 +9,8 @@ point x >= 0:
     lower[k] = integral_0^x   t^k f(t) dt
     upper[k] = integral_x^inf t^k f(t) dt,        k in {0, 1, 2}.
 
+Each family returns all six in one call of its ``_half_moments(x)`` hook,
+as ``(lower, upper)``, so the pieces both sides share are evaluated once.
 Closed forms are used wherever the family admits them: the generalized
 Gaussian reduces to regularized incomplete gamma functions, the Gaussian
 to erf/erfc, the Laplace and uniform families to elementary expressions,
@@ -80,6 +82,14 @@ def _check_finite(name, value):
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return arr
+
+
+def _positive(value, name):
+    """value as a float, checked finite and > 0 (DomainError otherwise)."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be a finite positive real, got {value!r}")
+    return value
 
 
 def _scalar_or_array(arr):
@@ -202,10 +212,6 @@ class _PanelTable:
         f = self._density(t)
         return np.stack([_gauss(t ** k * f, half) for k in range(3)])
 
-    def _partial(self, k, a, b):
-        t, half = self._nodes(a, b)
-        return _gauss(t ** k * self._density(t), half)
-
     def _refine(self, edges):
         a, b = edges[:-1], edges[1:]
         whole = self._moments(a, b)
@@ -235,21 +241,20 @@ class _PanelTable:
         order = np.argsort(lo)
         return np.append(lo[order], self.end), np.concatenate(done_v, axis=1)[:, order]
 
-    def _locate(self, x):
-        """x (flattened, clipped to [0, end]) and the panel holding each entry."""
+    def moments(self, x):
+        """(lower, upper) moments of orders 0..2 at each entry of x: whole
+        panels summed from the bottom and from the top, plus the stretches
+        from x (clipped to [0, end]) to the two edges of the panel holding
+        it, all from one density pass."""
         flat = np.minimum(np.asarray(x, dtype=float).ravel(), self.end)
-        j = np.searchsorted(self.edges, flat, side="right") - 1
-        return flat, np.clip(j, 0, self.edges.size - 2)
-
-    def below(self, k, x):
-        flat, j = self._locate(x)
-        out = self.cum[k, j] + self._partial(k, self.edges[j], flat)
-        return out.reshape(np.shape(x))
-
-    def above(self, k, x):
-        flat, j = self._locate(x)
-        out = self.tail[k, j + 1] + self._partial(k, flat, self.edges[j + 1])
-        return out.reshape(np.shape(x))
+        j = np.clip(np.searchsorted(self.edges, flat, side="right") - 1, 0, self.edges.size - 2)
+        parts = self._moments(
+            np.concatenate([self.edges[j], flat]), np.concatenate([flat, self.edges[j + 1]])
+        )
+        lower = self.cum[:, j] + parts[:, : flat.size]
+        upper = self.tail[:, j + 1] + parts[:, flat.size :]
+        shape = np.shape(x)
+        return tuple(v.reshape(shape) for v in lower), tuple(v.reshape(shape) for v in upper)
 
     def magnitude_quantile(self, q):
         """Smallest m with P(|Z| <= m) = q.  Levels above 1/2 are solved on
@@ -310,12 +315,12 @@ class ErrorDistribution:
     """Base class for symmetric, centrally peaked error distributions.
 
     Subclasses must implement ``pdf`` and may override the hooks
-    ``_half_moment_below``, ``_half_moment_above`` and
-    ``_magnitude_quantile`` with closed forms.  A hook left alone is
-    served by a panel table built from ``pdf`` on first use and kept for
-    the instance; building it raises NumericError when the density is not
-    finite at 0, stays positive past the float64 range, does not carry
-    mass 1/2 on [0, inf), or needs more panels than the table allows.
+    ``_half_moments`` (the whole moment table) and ``_magnitude_quantile``
+    with closed forms.  A hook left alone is served by a panel table built
+    from ``pdf`` on first use and kept for the instance; building it raises
+    NumericError when the density is not finite at 0, stays positive past
+    the float64 range, does not carry mass 1/2 on [0, inf), or needs more
+    panels than the table allows.
     Instances are immutable after construction, apart from that cache,
     and safe for concurrent use; sampling derives all randomness from
     explicit seeds.
@@ -337,14 +342,11 @@ class ErrorDistribution:
         names = inspect.signature(type(self)).parameters
         return {name: getattr(self, name) for name in names}
 
-    def _half_moment_below(self, k, x):
-        """integral_0^x t^k f(t) dt for x >= 0, from the panel table."""
-        return self._panels().below(k, x)
-
-    def _half_moment_above(self, k, x):
-        """integral_x^inf t^k f(t) dt for x >= 0, summed from the top of the
-        panel table, so it keeps its relative accuracy far out."""
-        return self._panels().above(k, x)
+    def _half_moments(self, x):
+        """(lower, upper) for x >= 0: integral_0^x t^k f(t) dt and
+        integral_x^inf t^k f(t) dt for k = 0, 1, 2, each of x's shape, from
+        the panel table (upper summed from the top, accurate far out)."""
+        return self._panels().moments(x)
 
     def _magnitude_quantile(self, q):
         """Smallest m >= 0 with P(|Z| <= m) = q, from the panel table."""
@@ -382,7 +384,8 @@ class ErrorDistribution:
     def cdf(self, x):
         """P(Z <= x).  Exactly 1/2 at x = 0 by symmetry."""
         x = _check_finite("x", x)
-        below = np.asarray(self._half_moment_below(0, np.abs(x)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            below = np.asarray(self._half_moments(np.abs(x))[0][0])
         out = 0.5 + np.sign(x) * np.minimum(below, 0.5)
         return _scalar_or_array(np.clip(out, 0.0, 1.0))
 
@@ -405,8 +408,7 @@ class ErrorDistribution:
         # inf * 0 -> nan and overflow to inf are fine here: the finiteness
         # gate below turns either into a RangeError.
         with np.errstate(over="ignore", invalid="ignore"):
-            lower = tuple(_scalar_or_array(self._half_moment_below(k, x)) for k in (0, 1, 2))
-            upper = tuple(_scalar_or_array(self._half_moment_above(k, x)) for k in (0, 1, 2))
+            lower, upper = (tuple(map(_scalar_or_array, side)) for side in self._half_moments(x))
         if not np.all(np.isfinite(lower + upper)):
             raise RangeError(
                 f"partial moments of {self.kind} are not float64-representable"
@@ -434,7 +436,12 @@ class ErrorDistribution:
         # Inverse magnitude CDF times an independent random sign.
         u = rng.random(m)
         signs = 1.0 - 2.0 * rng.integers(0, 2, size=m)
-        return signs * np.asarray(self._magnitude_quantile(u), dtype=float)
+        # A quantile past the float64 range overflows to inf: a RangeError.
+        with np.errstate(over="ignore"):
+            magnitudes = np.asarray(self._magnitude_quantile(u), dtype=float)
+        if not np.all(np.isfinite(magnitudes)):
+            raise RangeError(f"draws of {self.kind} overflow float64")
+        return signs * magnitudes
 
     def describe(self) -> dict:
         return {"kind": self.kind, **self.params()}
@@ -461,25 +468,19 @@ class GeneralizedGaussian(ErrorDistribution):
     kind = "generalized_gaussian"
 
     def __init__(self, a, b):
-        a = float(a)
-        b = float(b)
-        if not (math.isfinite(a) and a > 0.0):
-            raise DomainError(f"shape a must be a finite positive real, got {a!r}")
-        if not (math.isfinite(b) and b > 0.0):
-            raise DomainError(f"scale b must be a finite positive real, got {b!r}")
-        self.a = a
-        self.b = b
+        self.a = a = _positive(a, "shape a")
+        self.b = b = _positive(b, "scale b")
         # The normalizing constant needs gamma(a) directly.
         gamma_a = float(_sc.gamma(a))
         if not math.isfinite(gamma_a):
             raise RangeError(f"gamma(a) overflows float64 at a={a!r}")
         denom = a * b * gamma_a
-        if math.isfinite(denom) and denom > 0.0:
+        if math.isfinite(denom) and denom > 0.0 and math.isfinite(0.5 / denom):
             self._norm = 0.5 / denom
         else:
             # The product overflows before gamma(a) does (a near 171, or a
-            # large b), or underflows at a subnormal b; the constant itself
-            # may still be a (subnormal) float.
+            # large b), or it or its reciprocal leaves float64 at a tiny b;
+            # the constant itself may still be a (subnormal) float.
             try:
                 self._norm = math.exp(-(math.log(2.0 * a) + math.log(b) + _sc.gammaln(a)))
             except OverflowError:
@@ -516,11 +517,13 @@ class GeneralizedGaussian(ErrorDistribution):
             # second_moment turns it into a RangeError for the caller.
             return math.inf
 
-    def _half_moment_below(self, k, x):
-        return self._totals[k] * _sc.gammainc((k + 1.0) * self.a, self._standardized(x))
-
-    def _half_moment_above(self, k, x):
-        return self._totals[k] * _sc.gammaincc((k + 1.0) * self.a, self._standardized(x))
+    def _half_moments(self, x):
+        X = self._standardized(x)
+        orders = [((k + 1.0) * self.a, total) for k, total in enumerate(self._totals)]
+        return (
+            tuple(total * _sc.gammainc(order, X) for order, total in orders),
+            tuple(total * _sc.gammaincc(order, X) for order, total in orders),
+        )
 
     def _magnitude_quantile(self, q):
         q = np.asarray(q, dtype=float)
@@ -537,34 +540,30 @@ class Gaussian(ErrorDistribution):
     kind = "gaussian"
 
     def __init__(self, sigma):
-        sigma = float(sigma)
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise DomainError(f"sigma must be a finite positive real, got {sigma!r}")
+        sigma = _positive(sigma, "sigma")
+        if not math.isfinite(1.0 / (sigma * _SQRT_2PI)):
+            raise RangeError(f"the density at 0 overflows float64 at sigma={sigma!r}")
         self.sigma = sigma
 
     def pdf(self, x):
         x = _check_finite("x", x)
-        z = x / self.sigma
-        return _scalar_or_array(np.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI))
+        # z * z overflows to inf far out, where the density is exactly 0.
+        with np.errstate(over="ignore"):
+            z = x / self.sigma
+            return _scalar_or_array(np.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI))
 
-    def _half_moment_below(self, k, x):
+    def _half_moments(self, x):
         x = np.asarray(x, dtype=float)
         s = self.sigma
-        if k == 0:
-            return 0.5 * _sc.erf(x / (s * _SQRT2))
-        if k == 1:
-            # s/sqrt(2 pi) (1 - exp(-x^2/2s^2)), kept stable near 0 via expm1
-            return (s / _SQRT_2PI) * (-np.expm1(-0.5 * np.float_power(x / s, 2)))
-        return s * s * (0.5 * _sc.erf(x / (s * _SQRT2)) - x * self.pdf(x))
-
-    def _half_moment_above(self, k, x):
-        x = np.asarray(x, dtype=float)
-        s = self.sigma
-        if k == 0:
-            return 0.5 * _sc.erfc(x / (s * _SQRT2))
-        if k == 1:
-            return s * s * self.pdf(x)
-        return s * s * (0.5 * _sc.erfc(x / (s * _SQRT2)) + x * self.pdf(x))
+        below = 0.5 * _sc.erf(x / (s * _SQRT2))
+        above = 0.5 * _sc.erfc(x / (s * _SQRT2))
+        f = self.pdf(x)
+        # s/sqrt(2 pi) (1 - exp(-x^2/2s^2)), kept stable near 0 via expm1
+        lower1 = (s / _SQRT_2PI) * (-np.expm1(-0.5 * np.float_power(x / s, 2)))
+        return (
+            (below, lower1, s * s * (below - x * f)),
+            (above, s * s * f, s * s * (above + x * f)),
+        )
 
     def _magnitude_quantile(self, q):
         return self.sigma * _SQRT2 * _sc.erfinv(np.asarray(q, dtype=float))
@@ -576,34 +575,27 @@ class Laplace(ErrorDistribution):
     kind = "laplace"
 
     def __init__(self, b):
-        b = float(b)
-        if not (math.isfinite(b) and b > 0.0):
-            raise DomainError(f"scale b must be a finite positive real, got {b!r}")
+        b = _positive(b, "scale b")
+        if not math.isfinite(0.5 / b):
+            raise RangeError(f"the density at 0 overflows float64 at b={b!r}")
         self.b = b
 
     def pdf(self, x):
         x = _check_finite("x", x)
-        return _scalar_or_array(np.exp(-np.abs(x) / self.b) / (2.0 * self.b))
+        # |x| / b overflows to inf far out, where the density is exactly 0.
+        with np.errstate(over="ignore"):
+            return _scalar_or_array(np.exp(-np.abs(x) / self.b) / (2.0 * self.b))
 
-    def _half_moment_below(self, k, x):
+    def _half_moments(self, x):
         x = np.asarray(x, dtype=float)
         b = self.b
         e = np.exp(-x / b)
-        if k == 0:
-            return -0.5 * np.expm1(-x / b)
-        if k == 1:
-            return 0.5 * b * (-np.expm1(-x / b)) - 0.5 * x * e
-        return b * b - 0.5 * e * (x * x + 2.0 * b * x + 2.0 * b * b)
-
-    def _half_moment_above(self, k, x):
-        x = np.asarray(x, dtype=float)
-        b = self.b
-        e = np.exp(-x / b)
-        if k == 0:
-            return 0.5 * e
-        if k == 1:
-            return 0.5 * (x + b) * e
-        return 0.5 * e * (x * x + 2.0 * b * x + 2.0 * b * b)
+        mass = -np.expm1(-x / b)  # 1 - e, kept stable near 0
+        upper2 = 0.5 * e * (x * x + 2.0 * b * x + 2.0 * b * b)
+        return (
+            (0.5 * mass, 0.5 * b * mass - 0.5 * x * e, b * b - upper2),
+            (0.5 * e, 0.5 * (x + b) * e, upper2),
+        )
 
     def _magnitude_quantile(self, q):
         return -self.b * np.log1p(-np.asarray(q, dtype=float))
@@ -615,9 +607,9 @@ class Uniform(ErrorDistribution):
     kind = "uniform"
 
     def __init__(self, w):
-        w = float(w)
-        if not (math.isfinite(w) and w > 0.0):
-            raise DomainError(f"half width w must be a finite positive real, got {w!r}")
+        w = _positive(w, "half width w")
+        if not math.isfinite(0.5 / w):
+            raise RangeError(f"the density overflows float64 at w={w!r}")
         self.w = w
 
     def pdf(self, x):
@@ -625,13 +617,14 @@ class Uniform(ErrorDistribution):
         out = np.where(np.abs(x) <= self.w, 1.0 / (2.0 * self.w), 0.0)
         return _scalar_or_array(out)
 
-    def _half_moment_below(self, k, x):
+    def _half_moments(self, x):
         r = np.minimum(np.asarray(x, dtype=float), self.w)
-        return np.float_power(r, k + 1) / (2.0 * self.w * (k + 1))
-
-    def _half_moment_above(self, k, x):
-        r = np.minimum(np.asarray(x, dtype=float), self.w)
-        return (np.float_power(self.w, k + 1) - np.float_power(r, k + 1)) / (2.0 * self.w * (k + 1))
+        lower, upper = [], []
+        for n in (1, 2, 3):
+            r_n, denom = np.float_power(r, n), 2.0 * self.w * n
+            lower.append(r_n / denom)
+            upper.append((np.float_power(self.w, n) - r_n) / denom)
+        return tuple(lower), tuple(upper)
 
     def _magnitude_quantile(self, q):
         return self.w * np.asarray(q, dtype=float)
@@ -666,22 +659,22 @@ class EmpiricalSymmetric(ErrorDistribution):
         if np.any(np.diff(h) > 1e-9 * max(h.max(initial=0.0), 1.0)):
             raise DomainError("heights must be non-increasing away from zero")
 
-        widths = np.diff(t)
-        half_mass = float(np.sum(h * widths))
-        if half_mass <= 0.0:
-            raise DegenerateDistributionError("density has zero total mass")
-        h = h / (2.0 * half_mass)
-
+        # Overflow to inf (and inf - inf to nan) is fine here: the
+        # finiteness gate below turns it into a RangeError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            half_mass = float(np.sum(h * np.diff(t)))
+            if half_mass <= 0.0:
+                raise DegenerateDistributionError("density has zero total mass")
+            h = h / (2.0 * half_mass)
+            # Order-k integrals at the breakpoints, summed from 0 and from the
+            # top: a tail taken as total minus lower would cancel far out.
+            pieces = [h * np.diff(t ** (k + 1)) / (k + 1.0) for k in range(3)]
+        if not (math.isfinite(half_mass) and np.all(np.isfinite(pieces))):
+            raise RangeError("moments of the empirical density are not float64-representable")
         self._t = t
         self._h = h
-        # Order-k integrals at the breakpoints, summed from 0 and from the
-        # top: a tail taken as total minus lower would cancel far out.
-        self._cum = []
-        self._tail = []
-        for k in range(3):
-            piece = h * np.diff(t ** (k + 1)) / (k + 1.0)
-            self._cum.append(np.concatenate([[0.0], np.cumsum(piece)]))
-            self._tail.append(np.concatenate([np.cumsum(piece[::-1])[::-1], [0.0]]))
+        self._cum = [np.concatenate([[0.0], np.cumsum(piece)]) for piece in pieces]
+        self._tail = [np.concatenate([np.cumsum(piece[::-1])[::-1], [0.0]]) for piece in pieces]
 
     def params(self):
         return {
@@ -708,22 +701,16 @@ class EmpiricalSymmetric(ErrorDistribution):
         out = np.where(ax <= self._t[-1], self._h[j], 0.0)
         return _scalar_or_array(out)
 
-    def _half_moment_below(self, k, x):
-        ax = np.asarray(x, dtype=float)
-        xi = np.minimum(ax, self._t[-1])
-        j = self._piece_index(xi)
-        partial = self._h[j] * (
-            np.float_power(xi, k + 1) - np.float_power(self._t[j], k + 1)
-        ) / (k + 1.0)
-        return self._cum[k][j] + partial
-
-    def _half_moment_above(self, k, x):
+    def _half_moments(self, x):
         xi = np.minimum(np.asarray(x, dtype=float), self._t[-1])
         j = self._piece_index(xi)
-        partial = self._h[j] * (
-            np.float_power(self._t[j + 1], k + 1) - np.float_power(xi, k + 1)
-        ) / (k + 1.0)
-        return self._tail[k][j + 1] + partial
+        h, start, stop = self._h[j], self._t[j], self._t[j + 1]
+        lower, upper = [], []
+        for k in range(3):
+            xi_n = np.float_power(xi, k + 1)
+            lower.append(self._cum[k][j] + h * (xi_n - np.float_power(start, k + 1)) / (k + 1.0))
+            upper.append(self._tail[k][j + 1] + h * (np.float_power(stop, k + 1) - xi_n) / (k + 1.0))
+        return tuple(lower), tuple(upper)
 
     def _magnitude_quantile(self, q):
         q = np.asarray(q, dtype=float)
@@ -820,7 +807,10 @@ def fit_empirical(errors, *, min_observations=30):
         counts = np.array([counts[0] + counts[1], *counts[2:]])
     breaks = np.concatenate([[0.0], values])
     widths = np.diff(breaks)
-    raw = (counts / n) / widths  # empirical magnitude density per bin
+    with np.errstate(over="ignore"):
+        raw = (counts / n) / widths  # empirical magnitude density per bin
+    if not np.all(np.isfinite(raw)):
+        raise RangeError("the fitted density overflows float64: a magnitude bin is too narrow")
     # Imported here: the rest of the package has no use for scipy.optimize.
     from scipy import optimize
 

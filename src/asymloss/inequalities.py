@@ -34,6 +34,7 @@ moment table per distribution and evaluates its whole grid in one pass.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -101,13 +102,18 @@ def beta(dist: ErrorDistribution, x, *, table: MomentTable | None = None):
     u1 = t.upper[1]
     t1 = t.total(1)
     x = t.x
-    return (
-        -t1 * t1
-        + 2.0 * g * t.lower[2]
-        + 4.0 * x * g * u1
-        + u1 * u1
-        - x * x * u0 * (g + 0.5)
-    )
+    # x * x overflows past about 1.3e154 (and inf * 0 is nan): a RangeError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (
+            -t1 * t1
+            + 2.0 * g * t.lower[2]
+            + 4.0 * x * g * u1
+            + u1 * u1
+            - x * x * u0 * (g + 0.5)
+        )
+    if not np.all(np.isfinite(value)):
+        raise RangeError(f"beta of {dist.kind} overflows float64 at x up to {np.max(x)!r}")
+    return value
 
 
 def d_beta(dist: ErrorDistribution, x, *, table: MomentTable | None = None):
@@ -216,7 +222,8 @@ def sweep(
     """Evaluate every inequality on [0, span * scale] for each distribution.
 
     Returns one report per grid point, n_points per distribution, grid
-    including both endpoints.
+    including both endpoints.  Raises RangeError when the grid leaves
+    float64: a second moment below the smallest normal float collapses it.
     """
     dists = list(distributions)
     if not dists:
@@ -227,16 +234,19 @@ def sweep(
         raise ValueError(f"span must be finite and > 0, got {span!r}")
     reports = []
     for dist in dists:
-        x = np.linspace(0.0, span * dist.scale, n_points)
+        end = span * dist.scale
+        if not (dist.second_moment >= sys.float_info.min and math.isfinite(end)):
+            raise RangeError(
+                f"the sweep grid of {dist.kind} leaves float64 (second moment "
+                f"{dist.second_moment!r}, end {end!r}); rescale the errors"
+            )
+        x = np.linspace(0.0, end, n_points)
         t = dist.partial_moments(x)
         bound = extremal_bound(dist, x, table=t)
         eq1 = np.full(x.shape, math.nan)
         if isinstance(dist, GeneralizedGaussian):
             inside = x > 0.0
-            # float_power for the reason given in GeneralizedGaussian._standardized
-            with np.errstate(over="ignore"):
-                X = np.float_power(x[inside] / dist.b, 1.0 / dist.a)
-            eq1[inside] = ggd_inequality_lhs(dist.a, X)
+            eq1[inside] = ggd_inequality_lhs(dist.a, dist._standardized(x[inside]))
         reports += _reports(
             _dist_id(dist),
             x,

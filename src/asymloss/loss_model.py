@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ErrorDistribution, _split_point, _table_for
+from .distributions import ErrorDistribution, _table_for
 from .errors import DomainError, RangeError
 
 __all__ = [
@@ -103,8 +103,9 @@ def expected_loss_sq(dist: ErrorDistribution, params: LossParams, c, *, table=No
     m2_half = t.total(2)  # integral_0^inf z^2 f(z) dz = E[Z^2] / 2
     if not math.isfinite(m2_half):
         raise RangeError("second moment is not representable in float64")
-    sq_sum = params.k1 ** 2 + params.k2 ** 2
-    sq_diff = params.k1 ** 2 - params.k2 ** 2
+    # k * k overflows to inf where k ** 2 raises OverflowError; the gate below reports it.
+    sq_sum = params.k1 * params.k1 + params.k2 * params.k2
+    sq_diff = params.k1 * params.k1 - params.k2 * params.k2
     value = sq_sum * (m2_half + 0.5 * x * x) + s * sq_diff * (
         t.lower[2] + 2.0 * x * t.upper[1] + x * x * t.lower[0]
     )
@@ -136,10 +137,6 @@ def d_expected_loss(dist: ErrorDistribution, params: LossParams, c, *, table=Non
     k2 otherwise, it does not cancel far out in the tail.
     """
     c = float(c)
-    if table is None:
-        # Only the order-0 upper moment is needed: skip the other five.
-        upper0 = float(dist._half_moment_above(0, _split_point(abs(c))))
-    else:
-        upper0 = _table_for(dist, abs(c), table).upper[0]
+    upper0 = _table_for(dist, abs(c), table).upper[0]
     k = params.k1 if c >= 0.0 else params.k2
     return _sgn(c) * (k - params.k_sum * upper0)

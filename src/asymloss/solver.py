@@ -132,8 +132,8 @@ def solve_offset(dist: ErrorDistribution, params: LossParams) -> OffsetSolution:
             f"{expected_c!r} vs {expected_c_direct!r}"
         )
 
-    variance_c = variance_of_loss(dist, params, c_opt, table=table_c)
     e2_c = expected_loss_sq(dist, params, c_opt, table=table_c)
+    variance_c = e2_c - expected_c * expected_c
     variance_c_direct = e2_c - expected_c_direct * expected_c_direct
     if not _close(variance_c, variance_c_direct, CROSS_CHECK_TOL):
         raise CrossCheckError(
@@ -150,7 +150,7 @@ def solve_offset(dist: ErrorDistribution, params: LossParams) -> OffsetSolution:
         variance_at_C=variance_c,
         expected_at_zero=expected_loss(dist, params, 0.0, table=table_0),
         variance_at_zero=variance_of_loss(dist, params, 0.0, table=table_0),
-        beta_at_C=beta(dist, abs(c_opt)),
+        beta_at_C=beta(dist, abs(c_opt), table=table_c),
     )
 
 

@@ -49,15 +49,17 @@ class GappedDensity(ErrorDistribution):
         out = np.where((ax <= 1.0) | ((ax > 2.0) & (ax <= 3.0)), 0.25, 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def _half_moment_below(self, k, x):
+    def _half_moments(self, x):
         x = np.asarray(x, dtype=float)
         r1 = np.clip(x, 0.0, 1.0)
         r2 = np.clip(x, 2.0, 3.0)
-        return (r1 ** (k + 1) + r2 ** (k + 1) - 2.0 ** (k + 1)) / (4.0 * (k + 1))
-
-    def _half_moment_above(self, k, x):
-        total = (1.0 + 3.0 ** (k + 1) - 2.0 ** (k + 1)) / (4.0 * (k + 1))
-        return total - self._half_moment_below(k, x)
+        lower, upper = [], []
+        for n in (1, 2, 3):
+            below = (r1 ** n + r2 ** n - 2.0 ** n) / (4.0 * n)
+            total = (1.0 + 3.0 ** n - 2.0 ** n) / (4.0 * n)
+            lower.append(below)
+            upper.append(total - below)
+        return tuple(lower), tuple(upper)
 
     def _magnitude_quantile(self, q):
         q = np.asarray(q, dtype=float)

@@ -212,6 +212,27 @@ def test_overflowing_scale_exits_3_with_one_error_line(spec, capsys):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("argv, code", [
+    # second moments below the smallest normal float64: the grid would
+    # collapse onto x = 0 and pass
+    (["verify", "--grid", "laplace:b=1e-300;points=3"], 3),
+    (["verify", "--grid", "gauss:sigma=1e-170;points=3"], 3),
+    (["verify", "--grid", "gg:a=1;b=1e-310;points=3"], 3),
+    # values past float64: a fitted density's moments, draws, a sweep grid
+    (["simulate", "--dist=gg:a=1,b=1e200", "--n=1000", "--k1=1", "--k2=3"], 3),
+    (["simulate", "--dist=gauss:sigma=1e308", "--n=1000", "--k1=1", "--k2=3"], 3),
+    (["analyze", "--dist=uniform:w=1", "--k1=1", "--k2=3", "--mc-n=1000", "--span=1e200"], 3),
+    (["verify", "--grid=eq1:a=1;x=0.05,inf,2"], 1),
+], ids=["laplace_tiny", "gauss_tiny", "gg_tiny", "fitted_huge", "draws_huge", "grid_huge", "eq1_inf"])
+def test_unrepresentable_values_exit_with_one_error_line(argv, code, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
+
+
 class TestCsvReader:
     def test_error_and_pair_modes(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -628,8 +649,10 @@ def _argv(draw, csv_path, out_path):
     return argv
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestMainFuzz:
-    """Over argv drawn from the CLI grammar, main() returns an exit code."""
+    """Over argv drawn from the CLI grammar, main() returns an exit code, and
+    numpy's RuntimeWarnings are errors: none may reach stderr."""
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None,

@@ -417,6 +417,23 @@ class TestQuadratureFallback:
         assert float(np.max(np.abs(z))) <= 1.0
         assert float(np.mean(z)) == pytest.approx(0.0, abs=0.02)
 
+    def test_one_pdf_call_per_table(self):
+        # Once the panel table is built, all six moments at every point come
+        # from one density pass over both sides' nodes.
+        class Counting(Triangular):
+            calls = 0
+
+            def pdf(self, x):
+                self.calls += 1
+                return super().pdf(x)
+
+        d = Counting()
+        d.partial_moments(0.0)
+        for x in (0.4, np.array([0.0, 0.3, 0.999, 1.0, 2.5])):
+            d.calls = 0
+            d.partial_moments(x)
+            assert d.calls == 1
+
     def test_far_level_draw_stays_in_support(self):
         # One draw of this sample has magnitude level u = 0.9999996269 and
         # once landed at 1.00218; the exact magnitude is 1 - sqrt(1 - u).
@@ -532,6 +549,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             Laplace(1.0).sample(10, seed=-2)
 
+    def test_overflowing_draws_are_range_error(self):
+        # sigma sqrt(2) is finite, but a draw past one sigma is not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError):
+                Gaussian(1e308).sample(1000, seed=1)
+
 
 # ----------------------------------------------------------------------
 # constructor validation / representability
@@ -559,6 +583,17 @@ class TestValidation:
     def test_partial_moments_rejects_negative_split(self):
         with pytest.raises(DomainError):
             Uniform(1.0).partial_moments(-0.1)
+
+    @pytest.mark.parametrize("ctor", [
+        lambda: GeneralizedGaussian(1.0, 1e-310),
+        lambda: Gaussian(1e-310),
+        lambda: Laplace(1e-310),
+        lambda: Uniform(1e-310),
+    ], ids=["gg", "gaussian", "laplace", "uniform"])
+    def test_density_overflow_at_tiny_scale(self, ctor):
+        # The density at 0 is past float64; it used to be inf.
+        with pytest.raises(RangeError):
+            ctor()
 
     def test_gg_gamma_overflow_in_constructor(self):
         with pytest.raises(RangeError):
@@ -630,6 +665,13 @@ class TestEmpiricalSymmetric:
         with pytest.raises(DegenerateDistributionError):
             EmpiricalSymmetric([0.0, 1.0, 2.0], [0.0, 0.0])
 
+    def test_unrepresentable_moments_are_range_error(self):
+        # t^2 overflows at the last breakpoint.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError):
+                EmpiricalSymmetric([0.0, 1.0, 1e200], [1.0, 1.0])
+
     def test_near_tie_heights_tolerated(self):
         EmpiricalSymmetric([0.0, 1.0, 2.0], [0.2, 0.2 + 1e-12])  # no raise
 
@@ -698,6 +740,14 @@ class TestFitEmpirical:
     def test_degenerate_data(self):
         with pytest.raises(DegenerateDistributionError):
             fit_empirical(np.zeros(100))
+
+    def test_subnormal_gap_is_range_error(self):
+        # The first bin is 5e-324 wide, so its density overflows float64.
+        z = np.concatenate([[5e-324], np.linspace(-1.0, 1.0, 60)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError):
+                fit_empirical(z)
 
     def test_nonfinite_rejected(self):
         z = np.ones(50)

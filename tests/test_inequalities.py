@@ -1,6 +1,7 @@
 """Tests for the inequality certificates (alpha, beta, tail bounds, kernel)."""
 
 import math
+import warnings
 
 from dataclasses import asdict
 
@@ -255,6 +256,22 @@ class TestSweep:
             sweep([Laplace(1.0)], span=0.0)
         with pytest.raises(ValueError):
             sweep([Laplace(1.0)], span=math.inf)
+
+    @pytest.mark.parametrize("dist", [Laplace(1e-300), Gaussian(1e-170), GeneralizedGaussian(1.0, 1e-300)])
+    def test_underflowing_second_moment_is_range_error(self, dist):
+        # The grid [0, span * scale] would collapse onto x = 0 and pass.
+        with pytest.raises(RangeError):
+            sweep([dist], n_points=3)
+
+    @pytest.mark.parametrize("dist, span", [
+        (Gaussian(2.0), 1e308),  # span * scale overflows
+        (Uniform(1.0), 1e200),   # x * x in beta overflows
+    ])
+    def test_grid_past_float64_is_range_error(self, dist, span):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError):
+                sweep([dist], n_points=3, span=span)
 
     def test_report_dict_matches_csv_columns(self):
         r = sweep([Laplace(1.0)], n_points=3, span=1.0)[0]

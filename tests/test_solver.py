@@ -242,16 +242,20 @@ class TestFailureModes:
         class Capped(Laplace):
             # reachable CDF tops out at 0.9 on both sides of the table:
             # the 0.99 fractile has no root
-            def _half_moment_below(self, k, x):
-                v = super()._half_moment_below(k, x)
-                return np.minimum(v, 0.4) if k == 0 else v
-
-            def _half_moment_above(self, k, x):
-                v = super()._half_moment_above(k, x)
-                return np.maximum(v, 0.1) if k == 0 else v
+            def _half_moments(self, x):
+                lower, upper = super()._half_moments(x)
+                return (
+                    (np.minimum(lower[0], 0.4), *lower[1:]),
+                    (np.maximum(upper[0], 0.1), *upper[1:]),
+                )
 
         with pytest.raises(NumericError):
             solve_offset(Capped(1.0), LossParams(1.0, 99.0))
+
+    def test_squared_cost_overflow_is_range_error(self):
+        # k1^2 + k2^2 is past float64 although both costs are finite.
+        with pytest.raises(RangeError):
+            solve_offset(Laplace(1.0), LossParams(1e200, 3e200))
 
     def test_residual_gate(self, monkeypatch):
         monkeypatch.setattr(solver, "RESIDUAL_TOL", -1.0)
