@@ -24,9 +24,11 @@ and a safeguarded Newton-bisection there for quantiles.
 Sampling is deterministic and chunked: a draw of n variates is produced in
 fixed-size chunks, chunk i seeded with ``default_rng([seed, i])``, so the
 same (n, seed) pair yields bit-identical output regardless of how the
-chunks are consumed.  All variates come from one scheme shared by every
-family -- inverse magnitude CDF times a random sign -- which keeps streams
-comparable across families under a common seed.
+chunks are consumed.  Every variate is a magnitude times an independent
+random sign.  The magnitude comes from the ``_draw_magnitudes`` hook: by
+default the inverse magnitude CDF of a uniform draw, and for the
+generalized Gaussian an exact Gamma-variate transform that needs no
+inverse incomplete gamma function.
 """
 
 from __future__ import annotations
@@ -315,12 +317,12 @@ class ErrorDistribution:
     """Base class for symmetric, centrally peaked error distributions.
 
     Subclasses must implement ``pdf`` and may override the hooks
-    ``_half_moments`` (the whole moment table) and ``_magnitude_quantile``
-    with closed forms.  A hook left alone is served by a panel table built
-    from ``pdf`` on first use and kept for the instance; building it raises
-    NumericError when the density is not finite at 0, stays positive past
-    the float64 range, does not carry mass 1/2 on [0, inf), or needs more
-    panels than the table allows.
+    ``_half_moments`` (the whole moment table), ``_magnitude_quantile``
+    and ``_draw_magnitudes`` with closed forms.  A hook left alone is
+    served by a panel table built from ``pdf`` on first use and kept for
+    the instance; building it raises NumericError when the density is not
+    finite at 0, stays positive past the float64 range, does not carry
+    mass 1/2 on [0, inf), or needs more panels than the table allows.
     Instances are immutable after construction, apart from that cache,
     and safe for concurrent use; sampling derives all randomness from
     explicit seeds.
@@ -432,13 +434,17 @@ class ErrorDistribution:
             rng = np.random.default_rng([seed, index])
             yield self._draw(rng, m)
 
+    def _draw_magnitudes(self, rng, m):
+        """m draws of |Z|: the inverse magnitude CDF of uniform draws."""
+        return self._magnitude_quantile(rng.random(m))
+
     def _draw(self, rng, m):
-        # Inverse magnitude CDF times an independent random sign.
-        u = rng.random(m)
-        signs = 1.0 - 2.0 * rng.integers(0, 2, size=m)
-        # A quantile past the float64 range overflows to inf: a RangeError.
+        # Magnitudes first, then an independent sign for each: inverse-CDF
+        # families draw u before the signs, so their streams keep this order.
+        # A magnitude past the float64 range overflows to inf: a RangeError.
         with np.errstate(over="ignore"):
-            magnitudes = np.asarray(self._magnitude_quantile(u), dtype=float)
+            magnitudes = np.asarray(self._draw_magnitudes(rng, m), dtype=float)
+        signs = 1.0 - 2.0 * rng.integers(0, 2, size=m)
         if not np.all(np.isfinite(magnitudes)):
             raise RangeError(f"draws of {self.kind} overflow float64")
         return signs * magnitudes
@@ -532,6 +538,17 @@ class GeneralizedGaussian(ErrorDistribution):
             # Below the smallest normal float, where x underflows at small a,
             # P(a, x) = x^a / gamma(a + 1) to relative O(x): b x^a = b q a gamma(a).
             return self.b * np.where(x < _TINY, q * self.a * _sc.gamma(self.a), x ** self.a)
+
+    def _draw_magnitudes(self, rng, m):
+        # |Z| = b X^a with X ~ Gamma(a).  X = Y U^(1/a) with Y ~ Gamma(a + 1)
+        # and U uniform on (0, 1] (the boost numpy's standard_gamma uses below
+        # shape 1), so |Z| = b Y^a U exactly in law, with no inverse gamma and
+        # no power of U that underflows at small a.  float_power calls libm pow
+        # per element (see _standardized), so draws do not depend on which
+        # SIMD pow numpy dispatches to.
+        y = rng.standard_gamma(self.a + 1.0, m)
+        u = 1.0 - rng.random(m)
+        return self.b * (np.float_power(y, self.a) * u)
 
 
 class Gaussian(ErrorDistribution):

@@ -197,8 +197,16 @@ class InequalityReport:
     passed: bool
 
 
+def _param_text(value) -> str:
+    # Numbers in :g; a custom family may take anything else, shown by repr.
+    try:
+        return format(value, "g")
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 def _dist_id(dist: ErrorDistribution) -> str:
-    inner = ",".join(f"{k}={v:g}" for k, v in dist.params().items())
+    inner = ",".join(f"{k}={_param_text(v)}" for k, v in dist.params().items())
     return f"{dist.kind}({inner})"
 
 

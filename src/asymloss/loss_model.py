@@ -40,6 +40,12 @@ def _sgn(c: float) -> float:
     return 1.0 if c >= 0.0 else -1.0
 
 
+def _costs_by_side(params, c: float) -> tuple[float, float]:
+    """(near, far): the cost charged on the side of 0 that c lies on
+    (k1 for c >= 0, k2 otherwise), then the other one."""
+    return (params.k1, params.k2) if c >= 0.0 else (params.k2, params.k1)
+
+
 @dataclass(frozen=True)
 class LossParams:
     """Unit costs of over- and under-shooting.  Both strictly positive."""
@@ -87,8 +93,10 @@ def expected_loss(dist: ErrorDistribution, params: LossParams, c, *, table=None)
     c = float(c)
     t = _table_for(dist, abs(c), table)
     x = abs(c)
-    ks, kd = params.k_sum, params.k_diff
-    value = ks * t.upper[1] + 0.5 * c * kd + x * ks * t.lower[0]
+    near, _ = _costs_by_side(params, c)
+    # Tail form: at the optimum near = (k1 + k2) upper[0], so the second
+    # term vanishes instead of cancelling two large terms.
+    value = params.k_sum * t.upper[1] + x * (near - params.k_sum * t.upper[0])
     if not math.isfinite(value):
         raise RangeError("expected loss is not representable in float64")
     return value
@@ -99,16 +107,16 @@ def expected_loss_sq(dist: ErrorDistribution, params: LossParams, c, *, table=No
     c = float(c)
     t = _table_for(dist, abs(c), table)
     x = abs(c)
-    s = _sgn(c)
     m2_half = t.total(2)  # integral_0^inf z^2 f(z) dz = E[Z^2] / 2
     if not math.isfinite(m2_half):
         raise RangeError("second moment is not representable in float64")
+    near, far = _costs_by_side(params, c)
+    # near^2 E[(Z + c)^2], plus the far cost's excess where Z + c has the
+    # other sign than c: integral_|c|^inf (t - |c|)^2 f(t) dt, all upper
+    # moments, so nothing cancels far out in the tail.
     # k * k overflows to inf where k ** 2 raises OverflowError; the gate below reports it.
-    sq_sum = params.k1 * params.k1 + params.k2 * params.k2
-    sq_diff = params.k1 * params.k1 - params.k2 * params.k2
-    value = sq_sum * (m2_half + 0.5 * x * x) + s * sq_diff * (
-        t.lower[2] + 2.0 * x * t.upper[1] + x * x * t.lower[0]
-    )
+    far_tail = t.upper[2] - 2.0 * x * t.upper[1] + x * x * t.upper[0]
+    value = near * near * (2.0 * m2_half + x * x) + (far * far - near * near) * far_tail
     if not math.isfinite(value):
         raise RangeError("expected squared loss is not representable in float64")
     return value
@@ -138,5 +146,5 @@ def d_expected_loss(dist: ErrorDistribution, params: LossParams, c, *, table=Non
     """
     c = float(c)
     upper0 = _table_for(dist, abs(c), table).upper[0]
-    k = params.k1 if c >= 0.0 else params.k2
-    return _sgn(c) * (k - params.k_sum * upper0)
+    near, _ = _costs_by_side(params, c)
+    return _sgn(c) * (near - params.k_sum * upper0)

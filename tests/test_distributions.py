@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
-from scipy.special import gammaln
-from scipy.stats import binomtest
+from scipy.special import gammainc, gammaln
+from scipy.stats import binomtest, kstest
 
 from _oracles import cdf_quad, moment_quad
 from _testdists import PdfOnly, Triangular
@@ -555,6 +555,57 @@ class TestSampling:
             warnings.simplefilter("error")
             with pytest.raises(RangeError):
                 Gaussian(1e308).sample(1000, seed=1)
+
+    def test_gg_overflowing_draws_are_range_error(self):
+        # At a = 1, Y U is Exp(1), so about one draw in six passes 1.8e308.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError):
+                GeneralizedGaussian(1.0, 1e308).sample(1000, seed=1)
+
+    def test_gg_deterministic_and_chunk_stable(self):
+        d = GeneralizedGaussian(0.75, 1.3)
+        n = SAMPLE_CHUNK + 12_345
+        whole = d.sample(n, seed=9)
+        np.testing.assert_array_equal(whole, d.sample(n, seed=9))
+        assert not np.array_equal(whole, d.sample(n, seed=10))
+        parts = list(d.sample_chunks(n, seed=9))
+        assert [len(p) for p in parts] == [SAMPLE_CHUNK, 12_345]
+        np.testing.assert_array_equal(whole, np.concatenate(parts))
+        np.testing.assert_array_equal(d.sample(SAMPLE_CHUNK, seed=9), whole[:SAMPLE_CHUNK])
+
+    @pytest.mark.parametrize("a", [0.01, 0.3, 0.75, 2.0, 40.0])
+    def test_gg_magnitudes_follow_the_gamma_law(self, a):
+        # P(|Z| <= m) = P(a, X) with X = (m/b)^(1/a), the regularized lower
+        # incomplete gamma; where X underflows (m/b below 6e-4 at a = 0.01),
+        # P(a, X) = X^a / gamma(a + 1) = (m/b) / gamma(a + 1).
+        b = 1.7
+        mags = np.abs(GeneralizedGaussian(a, b).sample(160_000, seed=2024))
+
+        def cdf(m):
+            X = np.float_power(m / b, 1.0 / a)
+            return np.where(X < 1e-300, (m / b) / gamma_fn(a + 1.0), gammainc(a, X))
+
+        assert kstest(mags, cdf).pvalue > 0.01
+
+    def test_gg_small_shape_draws_no_zeros(self):
+        # b Y^a U with U in (0, 1] raises no power of U, so nothing underflows to 0.
+        z = GeneralizedGaussian(0.01, 1.0).sample(160_000, seed=3)
+        assert np.all(z != 0.0)
+        assert float(np.mean(z > 0.0)) == pytest.approx(0.5, abs=0.005)
+
+    @pytest.mark.parametrize("dist, first", [
+        (Laplace(1.0), [-0.13761997121874156, 0.6917039474023533, 0.9200436593635157]),
+        (Gaussian(2.0), [-0.32368522047159254, 1.3467079007747178, 1.6886005145551342]),
+        (Uniform(3.0), [-0.38571060830759885, 1.4978335873203448, 1.8044950728700724]),
+        (EmpiricalSymmetric([0.0, 1.0, 2.5], [0.3, 0.1]),
+         [-0.19285530415379942, 0.7489167936601725, 0.9022475364350362]),
+        (PdfOnly(Laplace(1.0)), [-0.13761997121874156, 0.6917039474023533, 0.9200436593635152]),
+    ], ids=repr)
+    def test_inverse_cdf_streams_are_pinned(self, dist, first):
+        # Every family but the generalized Gaussian draws u, then the signs,
+        # and returns the magnitude quantile of u; these streams must not move.
+        assert dist.sample(3, seed=11).tolist() == first
 
 
 # ----------------------------------------------------------------------

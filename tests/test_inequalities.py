@@ -11,9 +11,11 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc, gammaincc
 
 from _oracles import moment_quad
+from _testdists import PdfOnly
 from asymloss import (
     MARGIN_TOL,
     DomainError,
+    EmpiricalSymmetric,
     ExtremalBound,
     Gaussian,
     GeneralizedGaussian,
@@ -241,6 +243,13 @@ class TestSweep:
         assert math.isnan(reports[0].eq1_lhs)  # x = 0 has no kernel point
         assert all(r.eq1_lhs > 0.0 for r in reports[1:])
         assert all(r.passed for r in reports)
+
+    def test_non_numeric_params_are_shown_by_repr(self):
+        dist = PdfOnly(GeneralizedGaussian(0.75, 2.0))
+        reports = sweep([dist], n_points=3, span=1.0)
+        assert reports[0].dist_id == "pdf_only(base=GeneralizedGaussian(a=0.75, b=2.0))"
+        fitted = EmpiricalSymmetric([0.0, 1.0, 2.5], [0.3, 0.1])
+        assert sweep([fitted], n_points=2)[0].dist_id == "empirical_symmetric(n_pieces=2,support=2.5)"
 
     def test_margin_is_min_of_finite_fields(self):
         r = sweep([Laplace(1.0)], n_points=5, span=2.0)[2]

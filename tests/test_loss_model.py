@@ -3,6 +3,7 @@
 import math
 from dataclasses import asdict
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -107,6 +108,21 @@ class TestFrozenMoments:
         assert expected_loss(d, p, -0.7) == pytest.approx(GAUSS2_E, rel=1e-13)
         assert expected_loss_sq(d, p, -0.7) == pytest.approx(GAUSS2_E2, rel=1e-13)
         assert variance_of_loss(d, p, -0.7) == pytest.approx(GAUSS2_VAR, rel=1e-13)
+
+    @pytest.mark.parametrize("k1, k2", [(1.0, 1e6), (1.0, 1e9), (1.0, 1e12), (1e12, 1.0)])
+    def test_laplace_closed_forms_at_extreme_ratios(self, k1, k2):
+        # Laplace b=1 beyond x = |c|: u0 = e^-x / 2, u1 = (x + 1) e^-x / 2, and
+        # integral_x^inf (t - x)^2 f = e^-x.
+        d, p = Laplace(1.0), LossParams(k1, k2)
+        c = math.copysign(math.log((k1 + k2) / (2.0 * min(k1, k2))), k2 - k1)
+        near, far = (k1, k2) if c >= 0.0 else (k2, k1)
+        with mpmath.workdps(40):
+            x, tail = mpmath.mpf(abs(c)), mpmath.exp(-abs(c))
+            e = (k1 + k2) * (x + 1) * tail / 2 + x * (near - (k1 + k2) * tail / 2)
+            e2 = near ** 2 * (2 + x * x) + (mpmath.mpf(far) ** 2 - near ** 2) * tail
+            want = [float(e), float(e2), float(e2 - e * e)]
+        got = [expected_loss(d, p, c), expected_loss_sq(d, p, c), variance_of_loss(d, p, c)]
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_laplace_derivative_spot(self):
         assert d_expected_loss(Laplace(1.0), LossParams(1.0, 3.0), 0.3) == pytest.approx(

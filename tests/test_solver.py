@@ -24,6 +24,7 @@ from asymloss import (
     Uniform,
     beta,
     expected_loss,
+    fit_empirical,
     savings_report,
     solve_offset,
     solver,
@@ -98,6 +99,12 @@ GRID_DISTS = [
 ]
 
 
+def _gg_fit():
+    """The empirical fit of 1000 GG(0.75, 1) draws: a bounded support whose
+    density is positive up to its end."""
+    return fit_empirical(GeneralizedGaussian(0.75, 1.0).sample(1000, seed=2))[0]
+
+
 class TestSolutionInvariants:
     @pytest.mark.parametrize("dist", GRID_DISTS, ids=repr)
     @pytest.mark.parametrize("ratio", [1.0, 2.0, 10.0, 100.0])
@@ -138,6 +145,31 @@ class TestSolutionInvariants:
             sol = solve_offset(dist, params)
             assert abs(sol.C - ref) <= 2 * math.ulp(ref)
             assert sol.flat_optimum is False
+
+    @pytest.mark.parametrize("dist", [
+        Laplace(1.0), Gaussian(1.0), *(GeneralizedGaussian(a, 1.0) for a in (0.3, 0.75, 3.0, 10.0)),
+        PdfOnly(Laplace(1.0)),
+    ], ids=repr)
+    def test_cross_checks_hold_out_to_extreme_ratios(self, dist):
+        # E[L] and E[L^2] in tail form do not cancel when one cost dwarfs the other.
+        for e in range(-12, 13):
+            solve_offset(dist, LossParams(1.0, 10.0 ** e))
+
+    def test_fitted_empirical_cross_checks_hold(self):
+        # The fit's density is positive up to its support end, so from a
+        # ratio near 1e11 one ulp of C moves the residual past what the
+        # cross-check tolerates; see the bounded-support test below.
+        fitted = _gg_fit()
+        for e in range(-12, 11):
+            solve_offset(fitted, LossParams(1.0, 10.0 ** e))
+
+    @pytest.mark.xfail(raises=CrossCheckError, strict=True,
+                       reason="C rounds to a float where a bounded support's density is "
+                              "still positive; the k_sum*upper[1] route is off by |C|*residual")
+    @pytest.mark.parametrize("make, k2", [(lambda: Uniform(1.0), 1e9), (_gg_fit, 1e12)],
+                             ids=["uniform", "empirical"])
+    def test_bounded_support_cross_check_limit(self, make, k2):
+        solve_offset(make(), LossParams(1.0, k2))
 
     @given(
         family=st.sampled_from([Laplace, Gaussian, partial(GeneralizedGaussian, 0.75)]),
