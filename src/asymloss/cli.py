@@ -28,7 +28,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import inspect
+import functools
+import io
 import itertools
 import json
 import math
@@ -44,6 +45,7 @@ from .distributions import (
     GeneralizedGaussian,
     Laplace,
     Uniform,
+    _param_names,
     fit_empirical,
 )
 from .errors import (
@@ -52,7 +54,7 @@ from .errors import (
     InsufficientDataError,
     NumericError,
 )
-from .inequalities import MARGIN_TOL, InequalityReport, sweep, sweep_eq1
+from .inequalities import MARGIN_TOL, InequalityReport, _eq1_blocks, _sweep_blocks, sweep
 from .loss_model import LossParams, loss
 from .montecarlo import estimate_loss_stats
 from .solver import savings_report
@@ -76,8 +78,8 @@ SIGN_TEST_WARN_P = 5e-2
 _MC_SIGMAS = 5.0
 
 # Most rows a verify grid may have (distributions x points, or a values x
-# x count).  Every row is held in memory as a report before the CSV is
-# written, so larger grids are refused before anything is allocated.
+# x count).  Every row is held in memory, as columns and as CSV text, before
+# it is written, so larger grids are refused before anything is allocated.
 MAX_GRID_ROWS = 10**6
 
 
@@ -99,10 +101,6 @@ _FAMILIES = {
 }
 
 
-def _family_keys(family: str) -> tuple:
-    return tuple(inspect.signature(_FAMILIES[family]).parameters)
-
-
 def parse_dist_spec(spec: str) -> ErrorDistribution:
     """Parse 'gg:a=0.5,b=1' / 'gauss:sigma=2' / 'laplace:b=1' / 'uniform:w=1'."""
     family, sep, rest = spec.partition(":")
@@ -113,7 +111,7 @@ def parse_dist_spec(spec: str) -> ErrorDistribution:
         )
     if not sep or not rest.strip():
         raise CliInputError(f"missing parameters in distribution spec {spec!r}")
-    keys = _family_keys(family)
+    keys = _param_names(_FAMILIES[family])
     values = {}
     for item in rest.split(","):
         key, eq, val = item.partition("=")
@@ -145,12 +143,16 @@ def _parse_float_list(text: str, what: str) -> list:
 
 
 def parse_grid_spec(spec: str):
-    """Parse a verify grid and run the matching sweep.
+    """Parse a verify grid and run the matching sweep, in columns.
 
     Family grids: 'gg:a=0.25,0.5;b=1,3[;points=200][;span=10]' (and
     likewise gauss/laplace/uniform with their own parameter key).
     Kernel grids: 'eq1:a=0.1,0.5;x=1e-3,20,50' with x as lo,hi,count
     (log-spaced).
+
+    Returns one (dist_id, columns) pair per distribution or a value, in row
+    order: columns holds the float fields of its ``InequalityReport`` rows as
+    an (n, 8) array, x first and margin last; passed is margin >= -MARGIN_TOL.
     """
     head, sep, rest = spec.partition(":")
     head = head.strip()
@@ -164,8 +166,7 @@ def parse_grid_spec(spec: str):
         fields[key.strip()] = val.strip()
 
     if head == "eq1":
-        extra = set(fields) - {"a", "x"}
-        if extra or "a" not in fields or "x" not in fields:
+        if set(fields) != {"a", "x"}:
             raise CliInputError("eq1 grid needs exactly the fields a=... and x=lo,hi,count")
         a_values = _parse_float_list(fields["a"], "a")
         x_parts = _parse_float_list(fields["x"], "x")
@@ -176,7 +177,7 @@ def parse_grid_spec(spec: str):
             raise CliInputError("eq1 x count must be an integer >= 2")
         count = int(count)
         _check_grid_size(len(a_values) * count)
-        return sweep_eq1(a_values, np.geomspace(x_parts[0], x_parts[1], count))
+        return _eq1_blocks(a_values, np.geomspace(x_parts[0], x_parts[1], count))
 
     if head not in _FAMILIES:
         raise CliInputError(
@@ -187,18 +188,15 @@ def parse_grid_spec(spec: str):
         span = float(fields.pop("span", 10.0))
     except ValueError as exc:
         raise CliInputError("points/span must be numeric") from exc
-    keys = _family_keys(head)
+    keys = _param_names(_FAMILIES[head])
     if set(fields) != set(keys):
         raise CliInputError(f"family {head!r} needs exactly the fields {keys}")
     lists = [_parse_float_list(fields[k], k) for k in keys]
     # One distribution per combination, the first key varying slowest.
     dists = [_FAMILIES[head](*values) for values in itertools.product(*lists)]
-    if points < 2:
-        raise CliInputError("points must be >= 2")
-    if not (math.isfinite(span) and span > 0):
-        raise CliInputError("span must be a positive real")
+    # _sweep_blocks refuses points < 2 and a bad span before it allocates.
     _check_grid_size(len(dists) * points)
-    return sweep(dists, n_points=points, span=span)
+    return _sweep_blocks(dists, points, span)
 
 
 def _within_field_limit(path: str) -> bool:
@@ -300,10 +298,9 @@ def _timestamp(fixed_clock: bool) -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _dump_json(payload: dict, out_path):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write_out(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -416,7 +413,7 @@ def cmd_analyze(args) -> int:
         "verdict": verdict,
         "diagnostics": diagnostics,
     }
-    _dump_json(payload, args.out)
+    _write_out(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     sys.stderr.write(
         f"C={sol.C:.10g} expected {report.pct_expected:.2f}% lower, "
         f"variance {report.pct_variance:.2f}% lower; verdict={verdict}\n"
@@ -431,30 +428,29 @@ def cmd_analyze(args) -> int:
 _CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(InequalityReport))
 
 
-def _csv_cell(value):
-    if isinstance(value, float) and math.isnan(value):
-        return ""
-    return value
+def _verify_csv(blocks) -> str:
+    """The verify CSV of ``parse_grid_spec`` blocks as csv.writer writes their
+    rows: floats by repr, NaN as "", and each dist_id quoted by csv's rule."""
+    lines = [",".join(_CSV_COLUMNS) + "\n"]
+    for dist_id, columns in blocks:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((dist_id, ""))
+        head, k = buf.getvalue()[:-1], columns.shape[1]
+        cells = ["" if v != v else repr(v) for v in columns.ravel().tolist()]
+        for i, margin in enumerate(columns[:, -1].tolist()):
+            lines.append(f"{head}{','.join(cells[i * k:(i + 1) * k])},{margin >= -MARGIN_TOL}\n")
+    return "".join(lines)
 
 
 def cmd_verify(args) -> int:
-    reports = parse_grid_spec(args.grid)
-    rows = [[_csv_cell(getattr(r, col)) for col in _CSV_COLUMNS] for r in reports]
-    if args.out:
-        fh = open(args.out, "w", newline="", encoding="utf-8")
-    else:
-        fh = sys.stdout
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            fh.close()
-    min_margin = min(r.margin for r in reports)
-    all_passed = all(r.passed for r in reports)
+    """Write the grid's CSV from its columns in one string, then a summary
+    line whose min_margin and all_passed come from the margin column."""
+    blocks = parse_grid_spec(args.grid)
+    _write_out(_verify_csv(blocks), args.out)
+    margins = [m for _, columns in blocks for m in columns[:, -1].tolist()]
+    all_passed = all(m >= -MARGIN_TOL for m in margins)
     sys.stderr.write(
-        f"points={len(reports)} min_margin={min_margin:.6e} all_passed={all_passed}\n"
+        f"points={len(margins)} min_margin={min(margins):.6e} all_passed={all_passed}\n"
     )
     return EXIT_OK if all_passed else EXIT_NUMERIC
 
@@ -544,7 +540,7 @@ def cmd_simulate(args) -> int:
         },
         "diagnostics": diagnostics,
     }
-    _dump_json(payload, args.out)
+    _write_out(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     sys.stderr.write(
         f"offset={offset:.10g} applied to {test.size} held-out errors; "
         f"mean cost {stats_un['mean']:.6g} -> {stats_co['mean']:.6g}\n"
@@ -564,6 +560,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+@functools.cache  # once per process: parse_args leaves the parser as it was
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="asymloss",

@@ -33,6 +33,7 @@ inverse incomplete gamma function.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -105,6 +106,11 @@ def _split_point(x):
     if not np.all(np.isfinite(arr) & (arr >= 0.0)):
         raise DomainError(f"split point must be finite and >= 0, got {x!r}")
     return _scalar_or_array(arr)
+
+
+@functools.cache
+def _param_names(cls) -> tuple:  # a distribution class's constructor arguments
+    return tuple(inspect.signature(cls).parameters)
 
 
 def _table_for(dist, x, table):
@@ -341,8 +347,7 @@ class ErrorDistribution:
     def params(self) -> dict:
         """Family parameters as a plain dict (for reports), one entry per
         constructor argument, read back from the attribute of that name."""
-        names = inspect.signature(type(self)).parameters
-        return {name: getattr(self, name) for name in names}
+        return {name: getattr(self, name) for name in _param_names(type(self))}
 
     def _half_moments(self, x):
         """(lower, upper) for x >= 0: integral_0^x t^k f(t) dt and

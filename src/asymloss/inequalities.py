@@ -144,7 +144,10 @@ def extremal_bound(dist: ErrorDistribution, x, *, table: MomentTable | None = No
     When f(x) = 0 the tail is empty and both sides collapse to 0.
     """
     t = _table_for(dist, x, table)
-    f = np.asarray(dist.pdf(t.x))
+    return _extremal(t, np.asarray(dist.pdf(t.x)))
+
+
+def _extremal(t: MomentTable, f) -> ExtremalBound:
     rest = t.upper[0]  # remaining tail mass 1/2 - gamma, uncancelled
     with np.errstate(divide="ignore", invalid="ignore"):
         s_u = np.where(f > 0.0, t.x * rest + rest * rest / (2.0 * f), 0.0)
@@ -210,37 +213,28 @@ def _dist_id(dist: ErrorDistribution) -> str:
     return f"{dist.kind}({inner})"
 
 
-def _reports(dist_id, x, a_val, b_val, s_extremal, s_tail, gamma_slack, eq1):
-    """One InequalityReport per grid point x from its columns (arrays over
-    x, or scalars that every row shares).  The margin is the NaN-skipping
-    minimum of the slacks."""
-    columns = np.broadcast_arrays(x, a_val, b_val, s_extremal, s_tail, gamma_slack, eq1)
-    _, a_val, b_val, s_extremal, s_tail, gamma_slack, eq1 = columns
+def _block(dist_id, x, a_val, b_val, s_extremal, s_tail, gamma_slack, eq1):
+    """(dist_id, the report float fields over x as an (n, 8) array, margin last)."""
+    fields = np.broadcast_arrays(x, a_val, b_val, s_extremal, s_tail, gamma_slack, eq1)
+    _, a_val, b_val, s_extremal, s_tail, gamma_slack, eq1 = fields
     margin = np.fmin.reduce([a_val, b_val, s_tail - s_extremal, gamma_slack, eq1])
-    rows = zip(*(c.tolist() for c in (*columns, margin)))
-    return [InequalityReport(dist_id, *row, passed=row[-1] >= -MARGIN_TOL) for row in rows]
+    return dist_id, np.column_stack([*fields, margin])
 
 
-def sweep(
-    distributions: Sequence[ErrorDistribution],
-    *,
-    n_points: int = 200,
-    span: float = 10.0,
-) -> list[InequalityReport]:
-    """Evaluate every inequality on [0, span * scale] for each distribution.
+def _reports(blocks) -> list[InequalityReport]:
+    rows = ((dist_id, row) for dist_id, columns in blocks for row in columns.tolist())
+    return [InequalityReport(d, *row, passed=row[-1] >= -MARGIN_TOL) for d, row in rows]
 
-    Returns one report per grid point, n_points per distribution, grid
-    including both endpoints.  Raises RangeError when the grid leaves
-    float64: a second moment below the smallest normal float collapses it.
-    """
-    dists = list(distributions)
+
+def _sweep_blocks(dists: Sequence[ErrorDistribution], n_points: int, span: float) -> list:
+    """The columnar core of ``sweep``: one ``_block`` per distribution."""
     if not dists:
         raise ValueError("need at least one distribution to sweep")
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     if not (math.isfinite(span) and span > 0.0):
         raise ValueError(f"span must be finite and > 0, got {span!r}")
-    reports = []
+    blocks = []
     for dist in dists:
         end = span * dist.scale
         if not (dist.second_moment >= sys.float_info.min and math.isfinite(end)):
@@ -250,22 +244,35 @@ def sweep(
             )
         x = np.linspace(0.0, end, n_points)
         t = dist.partial_moments(x)
-        bound = extremal_bound(dist, x, table=t)
+        f = np.asarray(dist.pdf(x))
         eq1 = np.full(x.shape, math.nan)
         if isinstance(dist, GeneralizedGaussian):
             inside = x > 0.0
             eq1[inside] = ggd_inequality_lhs(dist.a, dist._standardized(x[inside]))
-        reports += _reports(
-            _dist_id(dist),
-            x,
-            alpha(dist, x, table=t),
-            beta(dist, x, table=t),
-            bound.s_extremal,
-            bound.s_tail,
-            t.lower[0] - x * dist.pdf(x),
-            eq1,
-        )
-    return reports
+        columns = alpha(dist, x, table=t), beta(dist, x, table=t), *_extremal(t, f)
+        blocks.append(_block(_dist_id(dist), x, *columns, t.lower[0] - x * f, eq1))
+    return blocks
+
+
+def sweep(
+    distributions: Sequence[ErrorDistribution], *, n_points: int = 200, span: float = 10.0
+) -> list[InequalityReport]:
+    """Evaluate every inequality on [0, span * scale] for each distribution.
+
+    Returns one report per grid point, n_points per distribution, grid
+    including both endpoints.  Raises RangeError when the grid leaves
+    float64: a second moment below the smallest normal float collapses it.
+    """
+    return _reports(_sweep_blocks(list(distributions), n_points, span))
+
+
+def _eq1_blocks(a_values, x_values) -> list:
+    """The columnar core of ``sweep_eq1``: one ``_block`` per a value."""
+    a_list = [float(a) for a in np.atleast_1d(a_values)]
+    x = np.atleast_1d(np.asarray(x_values, dtype=float))
+    if not a_list or x.size == 0:
+        raise ValueError("need at least one a and one x value")
+    return [_block(f"eq1(a={a:g})", x, *[math.nan] * 5, ggd_inequality_lhs(a, x)) for a in a_list]
 
 
 def sweep_eq1(a_values, x_values) -> list[InequalityReport]:
@@ -274,13 +281,4 @@ def sweep_eq1(a_values, x_values) -> list[InequalityReport]:
     Rows carry only eq1_lhs (the other fields are NaN); the margin is the
     kernel value itself.
     """
-    a_list = [float(a) for a in np.atleast_1d(a_values)]
-    x = np.atleast_1d(np.asarray(x_values, dtype=float))
-    if not a_list or x.size == 0:
-        raise ValueError("need at least one a and one x value")
-    nan = math.nan
-    reports = []
-    for a in a_list:
-        eq1 = ggd_inequality_lhs(a, x)
-        reports += _reports(f"eq1(a={a:g})", x, nan, nan, nan, nan, nan, eq1)
-    return reports
+    return _reports(_eq1_blocks(a_values, x_values))

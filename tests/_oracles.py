@@ -7,14 +7,19 @@ closed forms is evidence rather than tautology.
 
 ``read_error_csv_rows`` is the CLI's error-log reader as a plain row loop
 (``csv`` plus ``float()``), the reference the one-pass reader is held to.
+``verify_csv_text`` is the verify CSV as ``csv.writer`` writes report rows,
+the reference the columnar writer is held to.
 """
 
 import csv
+import dataclasses
+import io
 import math
 
 import numpy as np
 from scipy import integrate, optimize
 
+from asymloss import InequalityReport
 from asymloss.cli import CliInputError
 
 _ABS = 1e-13
@@ -111,3 +116,16 @@ def read_error_csv_rows(path):
     if not out:
         raise CliInputError(f"{path}: no data rows")
     return np.asarray(out, dtype=float)
+
+
+def verify_csv_text(reports):
+    """The verify CSV of InequalityReport rows: ``csv.writer`` over every
+    field of each row, header first, with a NaN written as an empty cell."""
+    columns = [f.name for f in dataclasses.fields(InequalityReport)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for r in reports:
+        row = [getattr(r, c) for c in columns]
+        writer.writerow(["" if isinstance(v, float) and math.isnan(v) else v for v in row])
+    return buf.getvalue()

@@ -11,11 +11,20 @@ import warnings
 
 import numpy as np
 import pytest
-from _oracles import read_error_csv_rows
+from _oracles import read_error_csv_rows, verify_csv_text
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from asymloss import Gaussian, Laplace, OffsetSolution, SavingsReport, cli
+from asymloss import (
+    Gaussian,
+    GeneralizedGaussian,
+    Laplace,
+    OffsetSolution,
+    SavingsReport,
+    cli,
+    sweep,
+    sweep_eq1,
+)
 from asymloss.cli import (
     _CSV_COLUMNS,
     FIXED_CLOCK,
@@ -27,6 +36,7 @@ from asymloss.cli import (
     parse_grid_spec,
     read_error_csv,
 )
+from asymloss.inequalities import _sweep_blocks
 
 LN2 = math.log(2.0)
 GAUSS_C_1TO2 = 0.4307272992954576  # Phi^-1(2/3)
@@ -469,21 +479,80 @@ class TestVerify:
         assert f"at most {MAX_GRID_ROWS}" in err
 
     def test_grid_size_cap_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(cli, "sweep", lambda dists, n_points, span: [n_points * len(dists)])
-        monkeypatch.setattr(cli, "sweep_eq1", lambda a, x: [len(a) * x.size])
+        monkeypatch.setattr(
+            cli, "_sweep_blocks", lambda dists, n_points, span: [n_points * len(dists)]
+        )
+        monkeypatch.setattr(cli, "_eq1_blocks", lambda a, x: [len(a) * x.size])
         assert parse_grid_spec(f"laplace:b=1,2;points={MAX_GRID_ROWS // 2}") == [MAX_GRID_ROWS]
         assert parse_grid_spec(f"eq1:a=1;x=1,2,{MAX_GRID_ROWS}") == [MAX_GRID_ROWS]
 
-    def test_parse_grid_spec_returns_reports(self):
-        reports = parse_grid_spec("laplace:b=1,2;points=10;span=4")
-        assert len(reports) == 20
-        assert {r.dist_id for r in reports} == {"laplace(b=1)", "laplace(b=2)"}
+    def test_parse_grid_spec_returns_columns(self):
+        blocks = parse_grid_spec("laplace:b=1,2;points=10;span=4")
+        assert [(dist_id, columns.shape) for dist_id, columns in blocks] == [
+            ("laplace(b=1)", (10, 8)), ("laplace(b=2)", (10, 8)),
+        ]
         # two-key grids: the first key varies slowest
         gg = parse_grid_spec("gg:a=0.5,1;b=1,2;points=2")
-        assert [r.dist_id for r in gg[::2]] == [
+        assert [dist_id for dist_id, _ in gg] == [
             "generalized_gaussian(a=0.5,b=1)", "generalized_gaussian(a=0.5,b=2)",
             "generalized_gaussian(a=1,b=1)", "generalized_gaussian(a=1,b=2)",
         ]
+
+    @pytest.mark.parametrize("grid, reports", [
+        # the README grids
+        ("gg:a=0.25,0.5,1,2;b=0.5,1,3;points=200", lambda: sweep(
+            [GeneralizedGaussian(a, b) for a in (0.25, 0.5, 1, 2) for b in (0.5, 1, 3)],
+            n_points=200)),
+        ("eq1:a=0.1,0.5,1;x=1e-3,20,100", lambda: sweep_eq1(
+            [0.1, 0.5, 1], np.geomspace(1e-3, 20, 100))),
+        ("eq1:a=0.01,3,40;x=1e-5,500,77", lambda: sweep_eq1(
+            [0.01, 3, 40], np.geomspace(1e-5, 500, 77))),
+        # every eq1 cell is NaN
+        ("laplace:b=0.5,2;points=33;span=4", lambda: sweep(
+            [Laplace(0.5), Laplace(2)], n_points=33, span=4)),
+        ("gauss:sigma=1e-100;points=30", lambda: sweep([Gaussian(1e-100)], n_points=30)),
+    ])
+    def test_csv_matches_csv_writer_oracle(self, grid, reports, tmp_path, capsys):
+        reports = reports()
+        want = verify_csv_text(reports)
+        summary = (
+            f"points={len(reports)} min_margin={min(r.margin for r in reports):.6e} "
+            f"all_passed={all(r.passed for r in reports)}\n"
+        )
+        assert main(["verify", "--grid", grid]) == 0
+        assert capsys.readouterr() == (want, summary)
+        path = tmp_path / "grid.csv"
+        assert main(["verify", "--grid", grid, "--out", str(path)]) == 0
+        assert path.read_bytes() == want.encode("utf-8")
+        assert capsys.readouterr() == ("", summary)
+
+    @given(kind=st.lists(
+        st.one_of(st.sampled_from([",", '"', "\n", "\r", "\r\n", " "]), st.text(max_size=3)),
+        max_size=8,
+    ).map("".join))
+    @settings(max_examples=60, deadline=None)
+    def test_dist_id_quoted_as_csv_quotes_it(self, kind):
+        # A custom family may name itself anything; csv decides the quoting.
+        dist = Laplace(1.0)
+        dist.kind = kind
+        want = verify_csv_text(sweep([dist], n_points=3, span=1.0))
+        assert cli._verify_csv(_sweep_blocks([dist], 3, 1.0)) == want
+
+    def test_standardized_once_per_table_and_pdf(self, monkeypatch, capsys):
+        # Per GG distribution: the second-moment table, the sweep table, one
+        # pdf of the grid and the kernel column.
+        calls = []
+        standardized = GeneralizedGaussian._standardized
+
+        def counted(self, x):
+            calls.append(1)
+            return standardized(self, x)
+
+        monkeypatch.setattr(GeneralizedGaussian, "_standardized", counted)
+        grid = "gg:a=0.3,0.5,0.9,1.6,2.8,5;b=1.3;points=50"
+        assert main(["verify", "--grid", grid]) == 0
+        capsys.readouterr()
+        assert len(calls) == 4 * 6
 
 
 # ----------------------------------------------------------------------
@@ -667,6 +736,26 @@ class TestMainFuzz:
 
 
 class TestEntryPoint:
+    def test_refused_argv_leaves_the_parser_as_new(self, capsys):
+        # The parser is built once per process and serves every main() call.
+        good = ["analyze", "--dist", "laplace:b=1", "--k1", "1", "--k2", "3",
+                "--mc-n", "2000", "--grid-points", "20", "--fixed-clock"]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "asymloss", *good], capture_output=True, timeout=120,
+        )
+        for bad in (
+            ["analyze", "--dist", "laplace:b=1", "--seed", "5", "--span", "2", "--k1", "1"],
+            ["analyze", "--dist", "laplace:b=1", "--input", "e.csv", "--k1", "1", "--k2", "3"],
+            ["verify", "--grid", "uniform:w=1", "--seed", "3"],
+            ["simulate", "--k1", "2"],
+            [],
+        ):
+            assert main(bad) == 1
+        capsys.readouterr()
+        assert main(good) == fresh.returncode == 0
+        out = capsys.readouterr()
+        assert (out.out.encode(), out.err.encode()) == (fresh.stdout, fresh.stderr)
+
     def test_runs_as_module(self):
         proc = subprocess.run(
             [sys.executable, "-m", "asymloss", "verify",
