@@ -509,9 +509,12 @@ class GeneralizedGaussian(ErrorDistribution):
 
     def pdf(self, x):
         x = _check_finite("x", x)
+        return _scalar_or_array(self._pdf_from_standardized(self._standardized(np.abs(x))))
+
+    def _pdf_from_standardized(self, X):
+        # The density at |x| = b X^a, for callers that already hold X.
         with np.errstate(over="ignore"):
-            out = self._norm * np.exp(-self._standardized(np.abs(x)))
-        return _scalar_or_array(out)
+            return self._norm * np.exp(-X)
 
     def _half_total(self, k):
         # integral_0^inf t^k f = b^k gamma((k+1)a) / (2 gamma(a))

@@ -244,11 +244,15 @@ def _sweep_blocks(dists: Sequence[ErrorDistribution], n_points: int, span: float
             )
         x = np.linspace(0.0, end, n_points)
         t = dist.partial_moments(x)
-        f = np.asarray(dist.pdf(x))
         eq1 = np.full(x.shape, math.nan)
         if isinstance(dist, GeneralizedGaussian):
+            # One X = (x/b)^(1/a) serves the density and the kernel column.
+            X = dist._standardized(x)
+            f = dist._pdf_from_standardized(X)
             inside = x > 0.0
-            eq1[inside] = ggd_inequality_lhs(dist.a, dist._standardized(x[inside]))
+            eq1[inside] = ggd_inequality_lhs(dist.a, X[inside])
+        else:
+            f = np.asarray(dist.pdf(x))
         columns = alpha(dist, x, table=t), beta(dist, x, table=t), *_extremal(t, f)
         blocks.append(_block(_dist_id(dist), x, *columns, t.lower[0] - x * f, eq1))
     return blocks

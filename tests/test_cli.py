@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -16,12 +17,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from asymloss import (
+    SAMPLE_CHUNK,
     Gaussian,
     GeneralizedGaussian,
     Laplace,
+    LossParams,
     OffsetSolution,
+    RangeError,
     SavingsReport,
     cli,
+    estimate_loss_stats,
+    fit_empirical,
     sweep,
     sweep_eq1,
 )
@@ -173,6 +179,135 @@ class TestAnalyzeInputErrors:
         assert main(["analyze", "--dist", "laplace:b=1", "--k1", "1",
                      "--k2", "2", "--frobnicate"]) == 1
         capsys.readouterr()
+
+
+class TestAnalyzeMonteCarlo:
+    """The two Monte Carlo estimates: the uncorrected one runs on a second
+    thread while the main thread solves, so these pin what a serial run
+    would give, which error wins, and that no thread outlives ``main``."""
+
+    # More than one sampling chunk, so the chunks' order of summation counts.
+    MC_N = 2 * SAMPLE_CHUNK + 1001
+
+    @pytest.mark.parametrize("spec", [
+        "gg:a=0.75,b=1.3", "gauss:sigma=2", "laplace:b=0.5", "uniform:w=3", None,
+    ])
+    def test_estimates_equal_a_serial_recomputation(self, spec, capsys, tmp_path):
+        if spec is None:
+            path = write_errors(tmp_path / "e.csv", GeneralizedGaussian(0.75, 1).sample(2_000, 4))
+            source = ["--input", path]
+            dist = fit_empirical(read_error_csv(path))[0]
+        else:
+            source = ["--dist", spec]
+            dist = parse_dist_spec(spec)
+        code, payload, err = run_json(
+            capsys,
+            ["analyze", *source, "--k1", "1", "--k2", "4", "--mc-n", str(self.MC_N),
+             "--seed", "9", "--grid-points", "8", "--fixed-clock"],
+        )
+        # A passing run's summary line names nothing after its verdict.
+        assert code == 0 and err.endswith("; verdict=ok\n") and err.count("\n") == 1
+        params, C = LossParams(1.0, 4.0), payload["solution"]["C"]
+        for check, c, seed in zip(payload["mc_checks"], (0.0, C), (9, 10)):
+            est = estimate_loss_stats(dist, params, c, self.MC_N, seed)
+            assert (check["c"], check["n"], check["seed"]) == (c, self.MC_N, seed)
+            assert check["mc_mean"] == est.mean
+            assert check["mc_variance"] == est.variance
+            assert check["std_error_mean"] == est.std_error_mean
+            assert check["std_error_variance"] == est.std_error_variance
+
+    def test_uncorrected_error_wins_over_corrected(self, monkeypatch, capsys):
+        # c = 0 raises an input error (exit 1), and only after c = C has raised
+        # a numerical one (exit 3), so its error wins by order, not by time.
+        c_failed = threading.Event()
+
+        def fake(dist, params, c, n, seed):
+            if c == 0.0:
+                assert c_failed.wait(timeout=10)
+                raise ValueError("estimate at zero refused")
+            c_failed.set()
+            raise RangeError("estimate at C overflowed")
+
+        monkeypatch.setattr(cli, "estimate_loss_stats", fake)
+        code = main(["analyze", "--dist", "laplace:b=1", "--k1", "1", "--k2", "3"])
+        assert (code, capsys.readouterr().err) == (1, "error: estimate at zero refused\n")
+
+    def test_corrected_error_surfaces_alone(self, monkeypatch, capsys):
+        def fake(dist, params, c, n, seed):
+            if c != 0.0:
+                raise RangeError("estimate at C overflowed")
+            return estimate_loss_stats(dist, params, c, n, seed)
+
+        monkeypatch.setattr(cli, "estimate_loss_stats", fake)
+        code = main(["analyze", "--dist", "laplace:b=1", "--k1", "1", "--k2", "3"])
+        assert (code, capsys.readouterr().err) == (3, "error: estimate at C overflowed\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--dist", "uniform:w=1", "--k1", "1", "--k2", "1e9"], "error: expected loss at C disagrees"),
+        (["--dist", "uniform:w=1", "--k1", "1", "--k2", "3", "--span", "1e200"],
+         "error: beta of uniform overflows float64"),
+    ], ids=["solver-cross-check", "sweep-range"])
+    def test_solve_and_sweep_errors_win_over_both(self, argv, message, monkeypatch, capsys):
+        def fake(dist, params, c, n, seed):
+            raise ValueError(f"estimate at {c} refused")
+
+        monkeypatch.setattr(cli, "estimate_loss_stats", fake)
+        assert main(["analyze", *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--dist", "laplace:b=1", "--k1", "1", "--k2", "3", "--mc-n", "20000"], 0),
+        (["--dist", "laplace:b=1", "--k1", "1", "--k2", "3", "--mc-n", "10"], 1),
+        (["--dist", "uniform:w=1", "--k1", "1", "--k2", "1e9"], 3),
+        (["--dist", "gg:a=40,b=1", "--k1", "1", "--k2", "3", "--mc-n", "20000"], 3),
+    ], ids=["ok", "input-error", "cross-check-error", "failed-verdict"])
+    def test_no_thread_outlives_main(self, argv, code, capsys):
+        baseline = threading.active_count()
+        assert main(["analyze", *argv]) == code
+        capsys.readouterr()
+        assert threading.active_count() == baseline
+
+    def test_failed_verdict_names_each_failure(self, capsys):
+        code, payload, err = run_json(
+            capsys, ["analyze", "--dist", "gg:a=40,b=1", "--k1", "1", "--k2", "3", "--fixed-clock"]
+        )
+        assert code == 3 and payload["verdict"] == "numerical_check_failed"
+        _, sep, reasons = err.partition("verdict=numerical_check_failed: ")
+        assert sep and err.count("\n") == 1
+        expected = []
+        for check in payload["mc_checks"]:
+            for moment in ("mean", "variance"):
+                if not check[f"{moment}_ok"]:
+                    z = (check[f"mc_{moment}"] - check[f"analytic_{moment}"]) / check[f"std_error_{moment}"]
+                    assert abs(z) > 5.0
+                    expected.append(f"{check['label']} {moment} {z:+.3g} standard errors off")
+        assert expected and reasons == ", ".join(expected) + "\n"
+
+    def test_zero_standard_error_reads_as_infinite(self):
+        # The fourth power sum underflows at scales near 1e-150, and with it
+        # the variance's standard error.
+        check = {"label": "corrected", "mean_ok": True, "variance_ok": False,
+                 "mc_variance": 1e-302, "analytic_variance": 2e-302, "std_error_variance": 0.0}
+        assert cli._failures([check], {"all_passed": True}) == [
+            "corrected variance -inf standard errors off"
+        ]
+
+    def test_failed_sweep_names_its_margin(self, monkeypatch, capsys):
+        def failing_sweep(dists, **kwargs):
+            reports = sweep(dists, **kwargs)
+            reports[3] = dataclasses.replace(reports[3], margin=-2.5e-3, passed=False)
+            return reports
+
+        monkeypatch.setattr(cli, "sweep", failing_sweep)
+        code, payload, err = run_json(
+            capsys, ["analyze", "--dist", "laplace:b=1", "--k1", "1", "--k2", "3", "--mc-n", "20000"]
+        )
+        worst_x = payload["inequality_summary"]["worst_x"]
+        assert code == 3 and payload["inequality_summary"]["min_margin"] == -2.5e-3
+        assert err.endswith(
+            f"verdict=numerical_check_failed: sweep min_margin=-2.500000e-03 at x={worst_x:.6g}\n"
+        )
 
 
 @pytest.mark.parametrize("argv", [
@@ -539,8 +674,8 @@ class TestVerify:
         assert cli._verify_csv(_sweep_blocks([dist], 3, 1.0)) == want
 
     def test_standardized_once_per_table_and_pdf(self, monkeypatch, capsys):
-        # Per GG distribution: the second-moment table, the sweep table, one
-        # pdf of the grid and the kernel column.
+        # Per GG distribution: the second-moment table, the sweep table, and
+        # one X of the grid for both the pdf and the kernel column.
         calls = []
         standardized = GeneralizedGaussian._standardized
 
@@ -552,7 +687,7 @@ class TestVerify:
         grid = "gg:a=0.3,0.5,0.9,1.6,2.8,5;b=1.3;points=50"
         assert main(["verify", "--grid", grid]) == 0
         capsys.readouterr()
-        assert len(calls) == 4 * 6
+        assert len(calls) == 3 * 6
 
 
 # ----------------------------------------------------------------------

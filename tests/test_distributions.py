@@ -7,6 +7,8 @@ forms.
 """
 
 import math
+import sys
+import threading
 import warnings
 from dataclasses import asdict
 from fractions import Fraction
@@ -511,6 +513,65 @@ class TestPanelTableFailures:
 # ----------------------------------------------------------------------
 # sampling
 # ----------------------------------------------------------------------
+
+
+class TestConcurrentUse:
+    """Threads sharing one fresh instance, and so racing to fill its lazy
+    caches (``_panel_cache`` of a pdf-only density, ``_m2_cache`` of every
+    family), get what a serial run gets, bit for bit."""
+
+    THREADS = 4  # more workers than the cores of a small machine
+    X = np.array([0.0, 0.3, 1.0, 2.5, 7.0])
+
+    def _call(self, dist, name):
+        if name == "partial_moments":
+            table = dist.partial_moments(self.X)
+            return table.lower, table.upper
+        if name == "sample":
+            return dist.sample(5_000, seed=5)
+        return dist.second_moment
+
+    def _run(self, dist, first):
+        # Each thread starts from a different call, so each cache is filled
+        # by whichever path reaches it first.
+        names = ["second_moment", "partial_moments", "sample"]
+        names = names[first % 3:] + names[:first % 3]
+        return {name: np.asarray(self._call(dist, name), dtype=float).tobytes() for name in names}
+
+    @pytest.mark.parametrize("make", [
+        lambda: GeneralizedGaussian(0.75, 1.3),
+        lambda: Gaussian(1.5),
+        lambda: Laplace(0.7),
+        lambda: Uniform(2.0),
+        lambda: PdfOnly(GeneralizedGaussian(0.75, 2.0)),
+        lambda: fit_empirical(Laplace(1.0).sample(500, seed=3))[0],
+    ], ids=["gg", "gauss", "laplace", "uniform", "pdf_only", "fitted"])
+    def test_threads_match_a_serial_run(self, make):
+        serial = self._run(make(), 0)
+        dist = make()
+        assert not {"_m2_cache", "_panel_cache"} & set(vars(dist))
+        start = threading.Barrier(self.THREADS, timeout=30)
+        results = [None] * self.THREADS
+
+        def work(i):
+            start.wait()
+            try:
+                results[i] = self._run(dist, i)
+            except Exception as exc:  # reported below, on the test's thread
+                results[i] = exc
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [serial] * self.THREADS
 
 
 class TestSampling:
