@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sc
 
 from .errors import (
     DegenerateDistributionError,
@@ -78,6 +77,28 @@ _TINY = np.finfo(float).tiny
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+class _LazySpecial:
+    """``scipy.special``, imported on the first attribute access.
+
+    Only the generalized-Gaussian and Gaussian closed forms, the eq1
+    kernel and the sign test of a fit need it, and it is more than half
+    of the package's import time.  Each function resolved is kept on the
+    instance, so later lookups are plain attribute reads.  Two threads
+    that arrive together both go through ``import``, whose module lock
+    makes the later one wait for the finished module.
+    """
+
+    def __getattr__(self, name):
+        from scipy import special
+
+        value = getattr(special, name)
+        setattr(self, name, value)
+        return value
+
+
+_sc = _LazySpecial()
 
 
 def _check_finite(name, value):
@@ -360,11 +381,21 @@ class ErrorDistribution:
         return self._panels().magnitude_quantile(q)
 
     def _panels(self):
-        # Built on first use and kept, as _m2_cache is.
+        # Built on first use and kept, as _zero_cache is.
         table = getattr(self, "_panel_cache", None)
         if table is None:
             table = _PanelTable(self.pdf)
             object.__setattr__(self, "_panel_cache", table)
+        return table
+
+    def _table_at_zero(self) -> MomentTable:
+        """``partial_moments(0.0)``, built on first use and kept: it holds
+        the half-line totals that the second moment and the loss moments
+        at c = 0 read."""
+        table = getattr(self, "_zero_cache", None)
+        if table is None:
+            table = self.partial_moments(0.0)
+            object.__setattr__(self, "_zero_cache", table)
         return table
 
     # ------------------------------------------------------------------
@@ -374,14 +405,10 @@ class ErrorDistribution:
     @property
     def second_moment(self) -> float:
         """E[Z^2]; raises RangeError if it is not a finite float64."""
-        cached = getattr(self, "_m2_cache", None)
-        if cached is None:
-            table = self.partial_moments(0.0)
-            cached = 2.0 * table.total(2)
-            if not np.isfinite(cached):
-                raise RangeError(f"second moment of {self.kind} is not representable")
-            object.__setattr__(self, "_m2_cache", cached)
-        return cached
+        m2 = 2.0 * self._table_at_zero().total(2)
+        if not math.isfinite(m2):
+            raise RangeError(f"second moment of {self.kind} is not representable")
+        return m2
 
     @property
     def scale(self) -> float:

@@ -39,12 +39,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import special as _sc
 
 from .distributions import (
     ErrorDistribution,
     GeneralizedGaussian,
     MomentTable,
+    _sc,
     _scalar_or_array,
     _table_for,
 )

@@ -58,7 +58,10 @@ def estimate_loss_stats(
 
     Accumulates power sums of the losses shifted by the first observed
     value, which keeps four moments' worth of precision without holding
-    the sample in memory.
+    the sample in memory.  The shifted losses are scaled by a power of two
+    taken from the first chunk, which brings its largest one into
+    [1/2, 1): the fourth powers then neither underflow nor overflow at
+    extreme scales, and the scale comes back out exactly at the end.
     """
     n = int(n)
     if n < _MIN_STATS_N:
@@ -69,11 +72,13 @@ def estimate_loss_stats(
     s1 = s2 = s3 = s4 = 0.0
     for chunk in dist.sample_chunks(n, seed):
         y = loss(chunk + c, params)
-        if pivot is None:
-            pivot = float(y[0])
         # Overflow lands in the sums as inf, which the check below refuses.
         with np.errstate(over="ignore", invalid="ignore"):
-            d = y - pivot
+            if pivot is None:
+                pivot = float(y[0])
+                # frexp gives exponent 0 for 0, inf and nan.
+                exponent = math.frexp(float(np.max(np.abs(y - pivot))))[1]
+            d = np.ldexp(y - pivot, -exponent)
             d2 = d * d
             s1 += float(d.sum())
             s2 += float(d2.sum())
@@ -82,8 +87,10 @@ def estimate_loss_stats(
 
     if not all(math.isfinite(s) for s in (s1, s2, s3, s4)):
         raise RangeError("power sums of the simulated losses overflow float64")
+    # Every moment below is homogeneous in the scaled losses, and so is
+    # each square root, so undoing the scale by ldexp is exact.
     delta = s1 / n
-    mean = pivot + delta
+    mean = pivot + math.ldexp(delta, exponent)
     m2 = s2 / n - delta * delta
     m4 = (
         s4 / n
@@ -93,14 +100,17 @@ def estimate_loss_stats(
     )
     variance = m2 * n / (n - 1)
     var_of_variance = max(0.0, (m4 - m2 * m2 * (n - 3) / (n - 1)) / n)
-    return McEstimate(
-        mean=mean,
-        variance=variance,
-        std_error_mean=math.sqrt(max(0.0, variance) / n),
-        std_error_variance=math.sqrt(var_of_variance),
-        n=n,
-        seed=int(seed),
-    )
+    try:
+        return McEstimate(
+            mean=mean,
+            variance=math.ldexp(variance, 2 * exponent),
+            std_error_mean=math.ldexp(math.sqrt(max(0.0, variance) / n), exponent),
+            std_error_variance=math.ldexp(math.sqrt(var_of_variance), 2 * exponent),
+            n=n,
+            seed=int(seed),
+        )
+    except OverflowError:
+        raise RangeError("the variance of the simulated losses overflows float64") from None
 
 
 def estimate_quantile(dist: ErrorDistribution, p, n: int, seed: int) -> float:

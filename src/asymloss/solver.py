@@ -83,13 +83,18 @@ def solve_offset(dist: ErrorDistribution, params: LossParams) -> OffsetSolution:
         If independent expressions for the moments at C disagree beyond
         ``CROSS_CHECK_TOL`` (relative).
     """
-    g = lambda c: d_expected_loss(dist, params, c)
+    def g(c):
+        # The derivative at c, and the moment table it was read from.
+        table = dist.partial_moments(abs(c))
+        return d_expected_loss(dist, params, c, table=table), table
+
     ks = params.k_sum
     k_min = min(params.k1, params.k2)
 
     if params.k1 == params.k2:
         # g(0) = 0 identically; symmetry pins the optimum at the median.
         c_opt, gc, flat = 0.0, 0.0, False
+        table_c = dist._table_at_zero()
     else:
         # F(C) = k2/(k1 + k2) means P(|Z| <= |C|) = |k1 - k2|/(k1 + k2).
         side = 1.0 if params.k2 > params.k1 else -1.0
@@ -98,22 +103,22 @@ def solve_offset(dist: ErrorDistribution, params: LossParams) -> OffsetSolution:
             c_opt = side * float(dist._magnitude_quantile(q))
         if not math.isfinite(c_opt):
             raise NumericError(f"the magnitude quantile at {q!r} is not a finite float64")
-        gc = g(c_opt)
+        gc, table_c = g(c_opt)
         for _ in range(2):
             # The slope is 0 on a flat stretch, or where ks * f underflows.
             slope = ks * float(dist.pdf(c_opt))
             if slope <= 0.0 or gc == 0.0:
                 break
             candidate = c_opt - gc / slope
-            g_candidate = g(candidate)
+            g_candidate, table_candidate = g(candidate)
             if abs(g_candidate) >= abs(gc):
                 break
-            c_opt, gc = candidate, g_candidate
+            c_opt, gc, table_c = candidate, g_candidate, table_candidate
 
         # A derivative that stays critical just beyond C means a whole
         # interval of ties; the quantile already sits at its near end.
         probe = abs(c_opt) + 1e-6 * max(dist.scale, abs(c_opt))
-        flat = abs(g(side * probe)) <= 1e-12 * k_min
+        flat = abs(g(side * probe)[0]) <= 1e-12 * k_min
 
     residual = gc + 0.0  # + 0.0 turns -0.0 into 0.0
     tol = RESIDUAL_TOL * min(1.0, k_min) + ks * float(dist.pdf(c_opt)) * math.ulp(c_opt)
@@ -123,7 +128,6 @@ def solve_offset(dist: ErrorDistribution, params: LossParams) -> OffsetSolution:
         )
 
     # Moments at the optimum, each via two independent arrangements.
-    table_c = dist.partial_moments(abs(c_opt))
     expected_c = expected_loss(dist, params, c_opt, table=table_c)
     expected_c_direct = ks * table_c.upper[1]  # the cancelled form, valid only at C
     if not _close(expected_c, expected_c_direct, CROSS_CHECK_TOL):
@@ -141,7 +145,7 @@ def solve_offset(dist: ErrorDistribution, params: LossParams) -> OffsetSolution:
             f"{variance_c!r} vs {variance_c_direct!r}"
         )
 
-    table_0 = dist.partial_moments(0.0)
+    table_0 = dist._table_at_zero()
     return OffsetSolution(
         C=c_opt,
         residual=residual,

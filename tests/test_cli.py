@@ -285,8 +285,7 @@ class TestAnalyzeMonteCarlo:
         assert expected and reasons == ", ".join(expected) + "\n"
 
     def test_zero_standard_error_reads_as_infinite(self):
-        # The fourth power sum underflows at scales near 1e-150, and with it
-        # the variance's standard error.
+        # A sample whose losses all tie has standard errors of exactly 0.
         check = {"label": "corrected", "mean_ok": True, "variance_ok": False,
                  "mc_variance": 1e-302, "analytic_variance": 2e-302, "std_error_variance": 0.0}
         assert cli._failures([check], {"all_passed": True}) == [
@@ -346,7 +345,7 @@ def test_underflowing_scale_exits_3_with_one_error_line(capsys):
 
 
 @pytest.mark.parametrize("spec", [
-    "uniform:w=1e300", "gg:a=3,b=1e100", "laplace:b=1e300", "gauss:sigma=1e300",
+    "uniform:w=1e300", "gg:a=3,b=1e160", "laplace:b=1e300", "gauss:sigma=1e300",
 ])
 def test_overflowing_scale_exits_3_with_one_error_line(spec, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -355,6 +354,23 @@ def test_overflowing_scale_exits_3_with_one_error_line(spec, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("spec", [
+    family + scale
+    for family in ("laplace:b=", "gauss:sigma=", "gg:a=0.75,b=", "gg:a=3,b=")
+    for scale in ("1e-150", "1e-100", "1e100", "1e150")
+])
+def test_extreme_scales_pass_the_monte_carlo_check(spec, capsys):
+    # The fourth power sums of losses near 1e-100 underflow and those near
+    # 1e80 overflow, unless the estimator scales them.
+    code, payload, err = run_json(
+        capsys, ["analyze", "--dist", spec, "--k1", "1", "--k2", "3",
+                 "--mc-n", "20000", "--grid-points", "20", "--fixed-clock"],
+    )
+    assert code == 0 and err.endswith("; verdict=ok\n"), err
+    for check in payload["mc_checks"]:
+        assert check["std_error_mean"] > 0.0 and check["std_error_variance"] > 0.0
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -910,6 +926,71 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_scipy_free_paths_leave_out_scipy(self):
+        # scipy.special is imported on first use: nothing here needs it.
+        script = (
+            "import io, sys, contextlib\n"
+            "import numpy as np\n"
+            "import asymloss, asymloss.cli\n"
+            "def loaded(step):\n"
+            "    print(step, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "loaded('import')\n"
+            "class Triangular(asymloss.ErrorDistribution):\n"
+            "    def pdf(self, x):\n"
+            "        return np.maximum(1.0 - np.abs(x), 0.0)\n"
+            "tri = Triangular()\n"
+            "asymloss.savings_report(tri, asymloss.LossParams(1.0, 3.0))\n"
+            "asymloss.sweep([tri], n_points=20)\n"
+            "tri.quantile(0.9)\n"
+            "loaded('pdf_only')\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    assert asymloss.cli.main(['analyze', '--dist', 'laplace:b=1', '--k1', '1', '--k2', '3',\n"
+            "                              '--mc-n', '20000', '--fixed-clock']) == 0\n"
+            "loaded('analyze_laplace')\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert asymloss.cli.main(['verify', '--grid', 'uniform:w=1;points=20']) == 0\n"
+            "loaded('verify_uniform')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"{step} []" for step in ("import", "pdf_only", "analyze_laplace", "verify_uniform")
+        ]
+
+    @pytest.mark.parametrize("snippet", [
+        "asymloss.GeneralizedGaussian(0.75, 1.3)",
+        "asymloss.Gaussian(2.0).partial_moments(0.5)",
+        "asymloss.sweep_eq1([0.5], [1.0, 2.0])",
+    ], ids=["gg", "gauss_moments", "eq1"])
+    def test_closed_forms_load_scipy_special(self, snippet):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, asymloss; before = 'scipy.special' in sys.modules; {snippet}; "
+             "print(before, 'scipy.special' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
+    def test_first_use_on_two_threads_matches_a_preloaded_run(self):
+        # In a fresh process the solve and the c = 0 estimate on the second
+        # thread both reach scipy.special first, and may import it together.
+        argv = ["analyze", "--dist", "gauss:sigma=1.3", "--k1", "2", "--k2", "11",
+                "--mc-n", "200000", "--seed", "7", "--fixed-clock"]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "asymloss", *argv], capture_output=True, timeout=120,
+        )
+        preloaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, scipy.special; from asymloss.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, timeout=120,
+        )
+        assert fresh.returncode == preloaded.returncode == 0, fresh.stderr
+        assert (fresh.stdout, fresh.stderr) == (preloaded.stdout, preloaded.stderr)
 
     def test_fit_empirical_imports_optimize_on_use(self):
         proc = subprocess.run(

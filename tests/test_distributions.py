@@ -7,6 +7,7 @@ forms.
 """
 
 import math
+import subprocess
 import sys
 import threading
 import warnings
@@ -517,7 +518,7 @@ class TestPanelTableFailures:
 
 class TestConcurrentUse:
     """Threads sharing one fresh instance, and so racing to fill its lazy
-    caches (``_panel_cache`` of a pdf-only density, ``_m2_cache`` of every
+    caches (``_panel_cache`` of a pdf-only density, ``_zero_cache`` of every
     family), get what a serial run gets, bit for bit."""
 
     THREADS = 4  # more workers than the cores of a small machine
@@ -549,7 +550,7 @@ class TestConcurrentUse:
     def test_threads_match_a_serial_run(self, make):
         serial = self._run(make(), 0)
         dist = make()
-        assert not {"_m2_cache", "_panel_cache"} & set(vars(dist))
+        assert not {"_zero_cache", "_panel_cache"} & set(vars(dist))
         start = threading.Barrier(self.THREADS, timeout=30)
         results = [None] * self.THREADS
 
@@ -572,6 +573,40 @@ class TestConcurrentUse:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [serial] * self.THREADS
+
+    def test_threads_race_to_import_scipy_special(self):
+        # A fresh interpreter has not imported scipy.special yet, so every
+        # thread's first closed form goes through the lazy import together.
+        script = (
+            "import sys, threading\n"
+            "import numpy as np\n"
+            "from asymloss import Gaussian, GeneralizedGaussian\n"
+            "X = np.array([0.0, 0.3, 1.0, 2.5])\n"
+            "def work():\n"
+            "    out = []\n"
+            "    for dist in (Gaussian(1.5), GeneralizedGaussian(0.75, 1.3)):\n"
+            "        table = dist.partial_moments(X)\n"
+            "        out += [*table.lower, *table.upper, dist.quantile([0.2, 0.9])]\n"
+            "    return b''.join(np.asarray(v).tobytes() for v in out)\n"
+            f"n = {self.THREADS}\n"
+            "start, results = threading.Barrier(n, timeout=30), [None] * n\n"
+            "def run(i):\n"
+            "    start.wait()\n"
+            "    try:\n"
+            "        results[i] = work()\n"
+            "    except Exception as exc:\n"
+            "        results[i] = repr(exc)\n"
+            "threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join(timeout=60)\n"
+            "print(not any(t.is_alive() for t in threads), results == [work()] * n)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]
 
 
 class TestSampling:

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from asymloss import (
+    SAMPLE_CHUNK,
     Gaussian,
     Laplace,
     LossParams,
+    McEstimate,
+    RangeError,
     Uniform,
     estimate_loss_stats,
     estimate_quantile,
@@ -81,6 +84,36 @@ class TestAgreementWithAnalytic:
         est = estimate_loss_stats(d, p, c, 400_000, seed=11)
         assert abs(est.mean - expected_loss(d, p, c)) <= 5.0 * est.std_error_mean
         assert abs(est.variance - variance_of_loss(d, p, c)) <= 5.0 * est.std_error_variance
+
+
+class TestExtremeScales:
+    """The power sums are scaled by a power of two taken from the data, so
+    an estimate does not depend on the errors' scale, bit for bit."""
+
+    # More than one chunk: later chunks reuse the first chunk's scale.
+    N = SAMPLE_CHUNK + 3_000
+
+    @pytest.mark.parametrize("k", [-400, 400])
+    def test_power_of_two_scale_is_exact(self, k):
+        # At 2^-400 the unscaled fourth powers underflow to 0, and at
+        # 2^400 they overflow.
+        p, s = LossParams(1.0, 3.0), 2.0 ** k
+        base = estimate_loss_stats(Laplace(1.0), p, 0.3, self.N, 12)
+        est = estimate_loss_stats(Laplace(s), p, s * 0.3, self.N, 12)
+        assert est == McEstimate(
+            mean=math.ldexp(base.mean, k),
+            variance=math.ldexp(base.variance, 2 * k),
+            std_error_mean=math.ldexp(base.std_error_mean, k),
+            std_error_variance=math.ldexp(base.std_error_variance, 2 * k),
+            n=self.N,
+            seed=12,
+        )
+        assert base.std_error_variance > 0.0
+
+    def test_unrepresentable_variance_is_range_error(self):
+        # Losses near 1e160 are floats; their variance is not.
+        with pytest.raises(RangeError):
+            estimate_loss_stats(Laplace(1e150), LossParams(1e10, 1e10), 0.0, 2_000, 0)
 
 
 class TestQuantileEstimate:

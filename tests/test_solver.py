@@ -118,6 +118,27 @@ class TestSolutionInvariants:
         else:
             assert sol.C > 0.0  # k2 > k1 shifts the forecast up
 
+    @pytest.mark.parametrize("ratio", [1.0, 3.0, 1e-3])
+    def test_one_table_per_derivative_and_one_at_zero(self, ratio, monkeypatch):
+        # The table at |C| is the last accepted derivative's, and the table
+        # at 0 is the one the second moment keeps.
+        dist = GeneralizedGaussian(0.75, 1.3)
+        points, derivatives = [], []
+
+        def build(x, _build=dist.partial_moments):
+            points.append(x)
+            return _build(x)
+
+        def derivative(*args, _derivative=solver.d_expected_loss, **kwargs):
+            derivatives.append(args[2])
+            return _derivative(*args, **kwargs)
+
+        monkeypatch.setattr(dist, "partial_moments", build)
+        monkeypatch.setattr(solver, "d_expected_loss", derivative)
+        sol = solve_offset(dist, LossParams(1.0, ratio))
+        assert len(points) == len(derivatives) + 1 and points.count(0.0) == 1
+        assert abs(sol.C) in points
+
     def test_mirrored_costs_mirror_the_offset(self):
         d = Laplace(2.0)
         up = solve_offset(d, LossParams(1.0, 7.0))
