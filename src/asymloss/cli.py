@@ -33,6 +33,8 @@ import io
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -82,6 +84,9 @@ _MC_SIGMAS = 5.0
 # x count).  Every row is held in memory, as columns and as CSV text, before
 # it is written, so larger grids are refused before anything is allocated.
 MAX_GRID_ROWS = 10**6
+
+# File suffixes that numpy's loader decompresses when it opens a path.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 class CliInputError(ValueError):
@@ -220,10 +225,12 @@ def _within_field_limit(path: str) -> bool:
     return size <= limit or not quoted
 
 
-def _parse_body(fh, n_cols: int):
-    """The rows after the header as an (n, n_cols) array, or None.
+def _parse_body(path: str, n_cols: int):
+    """The rows after the one-line header of the file at path, as an
+    (n, n_cols) array, or None.
 
-    One C-level pass by ``np.loadtxt``.  Every cell it accepts, ``float()``
+    One C-level pass by ``np.loadtxt``, which reads a path in blocks (a
+    handle it would read line by line).  Every cell it accepts, ``float()``
     accepts with the same value, so a table it returns is what the row loop
     in ``read_error_csv`` would build.  It refuses more: whitespace-only or
     comma-only rows, ``1_0`` or non-ASCII digits, and malformed rows.  None
@@ -234,7 +241,8 @@ def _parse_body(fh, n_cols: int):
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             table = np.loadtxt(
-                fh, delimiter=",", quotechar='"', comments=None, dtype=float, ndmin=2
+                path, skiprows=1, encoding="utf-8", delimiter=",", quotechar='"',
+                comments=None, dtype=float, ndmin=2,
             )
         except ValueError:  # also UnicodeDecodeError
             return None
@@ -244,8 +252,18 @@ def _parse_body(fh, n_cols: int):
 
 
 def read_error_csv(path: str) -> np.ndarray:
-    """Read errors from a CSV with header 'error' or 'y,yhat' (error = yhat - y)."""
+    """Read errors from a CSV with header 'error' or 'y,yhat' (error = yhat - y).
+
+    numpy parses a regular file's body in one pass where it can, from the
+    path; the rest is read row by row.  A pipe, ``/dev/stdin`` or any other
+    file that is not regular is read once, in full, into memory, and row by
+    row: a second open or a seek would find it drained.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
+        info = os.fstat(fh.fileno())
+        regular = stat.S_ISREG(info.st_mode)
+        if not regular:
+            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8", newline="")
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -260,11 +278,23 @@ def read_error_csv(path: str) -> np.ndarray:
             raise CliInputError(
                 f"{path}: unsupported header {header!r}; expected 'error' or 'y,yhat'"
             )
-        # Parse from this handle, not from the path: numpy opens a path by its
-        # suffix (.gz, .bz2, ...), and skiprows counts lines, not csv records.
-        # A file that may hold a cell over csv's field size limit goes to the
-        # row loop, which refuses such a cell wherever it sits.
-        table = _parse_body(fh, len(cols)) if _within_field_limit(path) else None
+        # numpy parses the body in one pass, reading the file again by its
+        # absolute path (which it cannot take for a URL).  So the path must
+        # still name the open regular file, and numpy must not pick a
+        # decompressor by its suffix.  skiprows counts lines, not csv records,
+        # so the header must be one line.  A file that may hold a cell over
+        # csv's field size limit goes to the row loop, which refuses such a
+        # cell wherever it sits.
+        absolute = os.path.abspath(path)
+        table = None
+        if (
+            regular
+            and os.path.samestat(info, os.stat(absolute))
+            and not absolute.lower().endswith(_COMPRESSED_SUFFIXES)
+            and not any("\n" in cell or "\r" in cell for cell in header)
+            and _within_field_limit(absolute)
+        ):
+            table = _parse_body(absolute, len(cols))
         if table is not None:
             with np.errstate(invalid="ignore"):  # inf - inf: refused later as non-finite
                 return table[:, 1] - table[:, 0] if pair_mode else table[:, 0]

@@ -110,6 +110,8 @@ def solve_offset(dist: ErrorDistribution, params: LossParams) -> OffsetSolution:
             if slope <= 0.0 or gc == 0.0:
                 break
             candidate = c_opt - gc / slope
+            if candidate == c_opt:  # the step rounds away: g is known there
+                break
             g_candidate, table_candidate = g(candidate)
             if abs(g_candidate) >= abs(gc):
                 break

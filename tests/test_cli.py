@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -506,6 +507,8 @@ class TestCsvParity:
     @example(data=b"y,yhat\n1\n2\n")
     @example(data=b"error\n1.5\n" + b" " * 140_000 + b"2\n")
     @example(data=b"error\n1.5\n" + b" " * 140_000 + b"2\n \n")
+    @example(data=("error\r\n" + "\r\n".join(_good_prefix(1)) + "\r\n").encode())
+    @example(data=b'"error\r\n"\r\n5"\r\n')  # skipping one line leaves numpy the cell "\r\n5"
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_array_or_same_error(self, data, tmp_path):
@@ -513,6 +516,59 @@ class TestCsvParity:
         path.write_bytes(data)
         assert _read_outcome(read_error_csv, str(path)) == _read_outcome(
             read_error_csv_rows, str(path))
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_is_plain_text(self, suffix, tmp_path):
+        # numpy would open a path with this suffix through a decompressor.
+        path = tmp_path / f"log.csv{suffix}"
+        path.write_bytes(("error\n" + "\n".join(_good_prefix(1)) + "\n").encode())
+        assert _read_outcome(read_error_csv, str(path)) == _read_outcome(
+            read_error_csv_rows, str(path))
+
+    def test_numpy_gets_the_path_of_a_regular_file_only(self, tmp_path, monkeypatch):
+        sources = []
+
+        def loadtxt(fname, *args, _loadtxt=np.loadtxt, **kwargs):
+            sources.append(fname)
+            return _loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        data = ("y,yhat\n" + "\n".join(_good_prefix(2)) + "\n").encode()
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        from_file = read_error_csv(str(path))
+        assert sources == [str(path)]  # a str, not the open handle
+        sources.clear()
+        read_end, write_end = os.pipe()
+        try:
+            with open(write_end, "wb") as fh:  # fits in the pipe's buffer
+                fh.write(data)
+            from_pipe = read_error_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert sources == []
+        np.testing.assert_array_equal(from_pipe, from_file)
+
+    @pytest.mark.parametrize("tail", [
+        b"",
+        b"1.5\nx\n",                         # a malformed row, named by its line
+        b"\xff\xfe1\n",                      # not UTF-8
+        b" " * 140_000 + b"2\n",             # a cell over csv's field size limit
+    ], ids=["clean", "bad_row", "bad_utf8", "long_cell"])
+    def test_piped_input_reads_like_the_file(self, tail, tmp_path):
+        # Over 8 KiB, more than one buffered read of the pipe.
+        errors = np.random.default_rng(5).laplace(size=1500).tolist()
+        data = ("error\n" + "".join(f"{v!r}\n" for v in errors)).encode() + tail
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        argv = [sys.executable, "-m", "asymloss", "simulate", "--k1", "2", "--k2", "11",
+                "--fixed-clock", "--input"]
+        by_path = subprocess.run([*argv, str(path)], capture_output=True, timeout=120)
+        piped = subprocess.run([*argv, "/dev/stdin"], input=data, capture_output=True,
+                               timeout=120)
+        renamed = [out.replace(str(path).encode(), b"/dev/stdin")
+                   for out in (by_path.stdout, by_path.stderr)]
+        assert (piped.returncode, [piped.stdout, piped.stderr]) == (by_path.returncode, renamed)
 
     @pytest.mark.parametrize("body, n_cols, rows", [
         ("1.5\n-2\n", 1, 2),
@@ -525,8 +581,10 @@ class TestCsvParity:
         ("1,2\n", 1, None),        # column count differs from the header's
         ("1\nx\n", 1, None),       # malformed cell
     ])
-    def test_parse_body_takes_clean_bodies_only(self, body, n_cols, rows):
-        table = cli._parse_body(io.StringIO(body, newline=""), n_cols)
+    def test_parse_body_takes_clean_bodies_only(self, body, n_cols, rows, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(("error\n" if n_cols == 1 else "y,yhat\n").encode() + body.encode())
+        table = cli._parse_body(str(path), n_cols)
         if rows is None:
             assert table is None
         else:

@@ -138,6 +138,8 @@ class TestSolutionInvariants:
         sol = solve_offset(dist, LossParams(1.0, ratio))
         assert len(points) == len(derivatives) + 1 and points.count(0.0) == 1
         assert abs(sol.C) in points
+        nonzero = [x for x in points if x != 0.0]
+        assert len(set(nonzero)) == len(nonzero)  # no point is built twice
 
     def test_mirrored_costs_mirror_the_offset(self):
         d = Laplace(2.0)
