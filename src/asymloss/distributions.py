@@ -4,13 +4,14 @@ Every distribution here models a forecast error Z whose density satisfies
 f(x) = f(-x) and f(x) >= f(y) whenever 0 <= x <= y.  Under that symmetry
 the half line [0, inf) carries mass exactly 1/2, and everything the loss
 and offset machinery needs reduces to six partial moments around a split
-point x >= 0:
+point x >= 0, the tail measured from x (from 0 it cancels near the end of a
+bounded support, where large cost ratios put the offset):
 
-    lower[k] = integral_0^x   t^k f(t) dt
-    upper[k] = integral_x^inf t^k f(t) dt,        k in {0, 1, 2}.
+    lower[k]  = integral_0^x   t^k f(t) dt
+    excess[k] = integral_x^inf (t - x)^k f(t) dt,     k in {0, 1, 2}.
 
 Each family returns all six in one call of its ``_half_moments(x)`` hook,
-as ``(lower, upper)``, so the pieces both sides share are evaluated once.
+as ``(lower, excess)``, so the pieces both sides share are evaluated once.
 Closed forms are used wherever the family admits them: the generalized
 Gaussian reduces to regularized incomplete gamma functions, the Gaussian
 to erf/erfc, the Laplace and uniform families to elementary expressions,
@@ -145,18 +146,36 @@ def _table_for(dist, x, table):
     return table
 
 
+def _about(x, upper):
+    """The tail's moments about x from those about 0 (cancels near a support end)."""
+    u0, u1, u2 = upper
+    # Where x * x overflows, inf * 0 would turn an empty tail's 0 into nan.
+    return u0, u1 - x * u0, np.where(u2 > 0.0, u2 - 2.0 * x * u1 + x * x * u0, 0.0)
+
+
+def _shift(d, moments):
+    """``moments`` retaken about the point d below their own: non-negative sums."""
+    m0, m1, m2 = moments
+    return m0, m1 + d * m0, m2 + d * (2.0 * m1 + d * m0)
+
+
 @dataclass(frozen=True)
 class MomentTable:
     """Partial moments of orders 0..2 on both sides of a split point.
 
-    ``lower[k]`` integrates t^k f(t) over [0, x], ``upper[k]`` over
-    [x, inf).  ``lower[0] + upper[0] == 1/2`` up to evaluation error.
+    ``lower[k]`` integrates t^k f(t) over [0, x], ``excess[k]`` (t - x)^k f(t)
+    over [x, inf).  ``lower[0] + excess[0] == 1/2`` up to evaluation error.
     For an array of split points every entry is an array of x's shape.
     """
 
     x: float | np.ndarray
     lower: tuple
-    upper: tuple
+    excess: tuple
+
+    @property
+    def upper(self) -> tuple:
+        """integral_x^inf t^k f(t) dt for k = 0, 1, 2, expanding t^k about x."""
+        return _shift(self.x, self.excess)
 
     def total(self, k: int) -> float:
         """Half-line moment integral_0^inf t^k f(t) dt."""
@@ -371,10 +390,10 @@ class ErrorDistribution:
         return {name: getattr(self, name) for name in _param_names(type(self))}
 
     def _half_moments(self, x):
-        """(lower, upper) for x >= 0: integral_0^x t^k f(t) dt and
-        integral_x^inf t^k f(t) dt for k = 0, 1, 2, each of x's shape, from
-        the panel table (upper summed from the top, accurate far out)."""
-        return self._panels().moments(x)
+        """(lower, excess) for x >= 0, each of x's shape (see the module docstring),
+        from the panel table (its tail summed from the top, accurate far out)."""
+        lower, upper = self._panels().moments(x)
+        return lower, _about(x, upper)
 
     def _magnitude_quantile(self, q):
         """Smallest m >= 0 with P(|Z| <= m) = q, from the panel table."""
@@ -442,12 +461,12 @@ class ErrorDistribution:
         # inf * 0 -> nan and overflow to inf are fine here: the finiteness
         # gate below turns either into a RangeError.
         with np.errstate(over="ignore", invalid="ignore"):
-            lower, upper = (tuple(map(_scalar_or_array, side)) for side in self._half_moments(x))
-        if not np.all(np.isfinite(lower + upper)):
+            lower, excess = (tuple(map(_scalar_or_array, side)) for side in self._half_moments(x))
+        if not np.all(np.isfinite(lower + excess)):
             raise RangeError(
                 f"partial moments of {self.kind} are not float64-representable"
             )
-        return MomentTable(x=x, lower=lower, upper=upper)
+        return MomentTable(x=x, lower=lower, excess=excess)
 
     def sample(self, n, seed):
         """Draw n variates, deterministically in (n, seed)."""
@@ -563,7 +582,7 @@ class GeneralizedGaussian(ErrorDistribution):
         orders = [((k + 1.0) * self.a, total) for k, total in enumerate(self._totals)]
         return (
             tuple(total * _sc.gammainc(order, X) for order, total in orders),
-            tuple(total * _sc.gammaincc(order, X) for order, total in orders),
+            _about(x, [total * _sc.gammaincc(order, X) for order, total in orders]),
         )
 
     def _magnitude_quantile(self, q):
@@ -614,7 +633,7 @@ class Gaussian(ErrorDistribution):
         lower1 = (s / _SQRT_2PI) * (-np.expm1(-0.5 * np.float_power(x / s, 2)))
         return (
             (below, lower1, s * s * (below - x * f)),
-            (above, s * s * f, s * s * (above + x * f)),
+            _about(x, (above, s * s * f, s * s * (above + x * f))),
         )
 
     def _magnitude_quantile(self, q):
@@ -644,9 +663,10 @@ class Laplace(ErrorDistribution):
         e = np.exp(-x / b)
         mass = -np.expm1(-x / b)  # 1 - e, kept stable near 0
         upper2 = 0.5 * e * (x * x + 2.0 * b * x + 2.0 * b * b)
+        # Memoryless: the tail about x is the whole half line's about 0, times e.
         return (
             (0.5 * mass, 0.5 * b * mass - 0.5 * x * e, b * b - upper2),
-            (0.5 * e, 0.5 * (x + b) * e, upper2),
+            (0.5 * e, 0.5 * b * e, b * b * e),
         )
 
     def _magnitude_quantile(self, q):
@@ -671,12 +691,10 @@ class Uniform(ErrorDistribution):
 
     def _half_moments(self, x):
         r = np.minimum(np.asarray(x, dtype=float), self.w)
-        lower, upper = [], []
-        for n in (1, 2, 3):
-            r_n, denom = np.float_power(r, n), 2.0 * self.w * n
-            lower.append(r_n / denom)
-            upper.append((np.float_power(self.w, n) - r_n) / denom)
-        return tuple(lower), tuple(upper)
+        # Flat on both sides: length r from 0, w - r from x (exact by Sterbenz near w).
+        def flat(length):  # integral_0^length s^k ds / (2w)
+            return tuple(np.float_power(length, n) / (2.0 * self.w * n) for n in (1, 2, 3))
+        return flat(r), flat(self.w - r)
 
     def _magnitude_quantile(self, q):
         return self.w * np.asarray(q, dtype=float)
@@ -718,15 +736,22 @@ class EmpiricalSymmetric(ErrorDistribution):
             if half_mass <= 0.0:
                 raise DegenerateDistributionError("density has zero total mass")
             h = h / (2.0 * half_mass)
-            # Order-k integrals at the breakpoints, summed from 0 and from the
-            # top: a tail taken as total minus lower would cancel far out.
+            # Order-k integrals of each piece about 0, summed from 0 below x.
             pieces = [h * np.diff(t ** (k + 1)) / (k + 1.0) for k in range(3)]
+            # E[k, j], the mass above t_j about t_j, is piece j about t_j plus
+            # E[:, j + 1] moved down by its width: no term cancels.
+            w = np.diff(t)
+            own = [h * w, h * w * w / 2.0, h * w * w * w / 3.0]
+            e = np.zeros((3, t.size))
+            e[0, :-1] = np.cumsum(own[0][::-1])[::-1]
+            e[1, :-1] = np.cumsum((own[1] + w * e[0, 1:])[::-1])[::-1]
+            e[2, :-1] = np.cumsum((own[2] + w * (2.0 * e[1, 1:] + w * e[0, 1:]))[::-1])[::-1]
         if not (math.isfinite(half_mass) and np.all(np.isfinite(pieces))):
             raise RangeError("moments of the empirical density are not float64-representable")
         self._t = t
         self._h = h
         self._cum = [np.concatenate([[0.0], np.cumsum(piece)]) for piece in pieces]
-        self._tail = [np.concatenate([np.cumsum(piece[::-1])[::-1], [0.0]]) for piece in pieces]
+        self._excess = e  # unchecked, as _cum: partial_moments gates an overflow
 
     def params(self):
         return {
@@ -756,13 +781,14 @@ class EmpiricalSymmetric(ErrorDistribution):
     def _half_moments(self, x):
         xi = np.minimum(np.asarray(x, dtype=float), self._t[-1])
         j = self._piece_index(xi)
-        h, start, stop = self._h[j], self._t[j], self._t[j + 1]
-        lower, upper = [], []
-        for k in range(3):
-            xi_n = np.float_power(xi, k + 1)
-            lower.append(self._cum[k][j] + h * (xi_n - np.float_power(start, k + 1)) / (k + 1.0))
-            upper.append(self._tail[k][j + 1] + h * (np.float_power(stop, k + 1) - xi_n) / (k + 1.0))
-        return tuple(lower), tuple(upper)
+        h, t_j = self._h[j], self._t[j]
+        r = self._t[j + 1] - xi  # the rest of the piece above x
+        lower, excess = [], []
+        for k, above in enumerate(_shift(r, self._excess[:, j + 1])):
+            n = k + 1.0
+            lower.append(self._cum[k][j] + h * (np.float_power(xi, n) - np.float_power(t_j, n)) / n)
+            excess.append(h * np.float_power(r, n) / n + above)
+        return tuple(lower), tuple(excess)
 
     def _magnitude_quantile(self, q):
         q = np.asarray(q, dtype=float)

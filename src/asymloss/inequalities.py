@@ -73,19 +73,18 @@ def alpha(dist: ErrorDistribution, x, *, table: MomentTable | None = None):
 
     Evaluated in the rearranged tail form
 
-        2 (u1 - x u0) - 2 u0 (2 u1 - x u0),
+        2 e1 - 2 u0 (u1 + e1),
 
-    with u0, u1 the upper partial moments (substitute gamma = 1/2 - u0
-    into the display to see they agree).  The display form loses all
-    precision once gamma rounds to 1/2 -- its x/2 terms then cancel to
-    noise of order eps * x -- whereas the tail form keeps the true
-    magnitude, which for thin-tailed densities stays strictly positive
-    all the way down to the float64 underflow floor.
+    with u0, u1 the upper partial moments and e1 the tail's first moment
+    about x (substitute gamma = 1/2 - u0 into the display to see they
+    agree).  The display form loses all precision once gamma rounds to
+    1/2 -- its x/2 terms then cancel to noise of order eps * x -- whereas
+    the tail form keeps the true magnitude, which for thin-tailed densities
+    stays strictly positive all the way down to the float64 underflow floor.
     """
     t = _table_for(dist, x, table)
-    u0, u1 = t.upper[0], t.upper[1]
-    excess = u1 - t.x * u0
-    return 2.0 * excess - 2.0 * u0 * (u1 + excess)
+    u0, e1 = t.excess[0], t.excess[1]
+    return 2.0 * e1 - 2.0 * u0 * (t.upper[1] + e1)
 
 
 def beta(dist: ErrorDistribution, x, *, table: MomentTable | None = None):
@@ -98,9 +97,8 @@ def beta(dist: ErrorDistribution, x, *, table: MomentTable | None = None):
     """
     t = _table_for(dist, x, table)
     g = t.lower[0]
-    u0 = t.upper[0]
-    u1 = t.upper[1]
-    t1 = t.total(1)
+    u0, u1, _ = t.upper
+    t1 = t.lower[1] + u1
     x = t.x
     # x * x overflows past about 1.3e154 (and inf * 0 is nan): a RangeError.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -148,7 +146,7 @@ def extremal_bound(dist: ErrorDistribution, x, *, table: MomentTable | None = No
 
 
 def _extremal(t: MomentTable, f) -> ExtremalBound:
-    rest = t.upper[0]  # remaining tail mass 1/2 - gamma, uncancelled
+    rest = t.excess[0]  # remaining tail mass 1/2 - gamma, uncancelled
     with np.errstate(divide="ignore", invalid="ignore"):
         s_u = np.where(f > 0.0, t.x * rest + rest * rest / (2.0 * f), 0.0)
     return ExtremalBound(s_extremal=_scalar_or_array(s_u), s_tail=t.upper[1])

@@ -94,9 +94,9 @@ def expected_loss(dist: ErrorDistribution, params: LossParams, c, *, table=None)
     t = _table_for(dist, abs(c), table)
     x = abs(c)
     near, _ = _costs_by_side(params, c)
-    # Tail form: at the optimum near = (k1 + k2) upper[0], so the second
-    # term vanishes instead of cancelling two large terms.
-    value = params.k_sum * t.upper[1] + x * (near - params.k_sum * t.upper[0])
+    # Tail form: at the optimum near = (k1 + k2) excess[0], the mass above
+    # |c|, so the second term vanishes instead of cancelling two large terms.
+    value = params.k_sum * t.upper[1] + x * (near - params.k_sum * t.excess[0])
     if not math.isfinite(value):
         raise RangeError("expected loss is not representable in float64")
     return value
@@ -112,11 +112,10 @@ def expected_loss_sq(dist: ErrorDistribution, params: LossParams, c, *, table=No
         raise RangeError("second moment is not representable in float64")
     near, far = _costs_by_side(params, c)
     # near^2 E[(Z + c)^2], plus the far cost's excess where Z + c has the
-    # other sign than c: integral_|c|^inf (t - |c|)^2 f(t) dt, all upper
-    # moments, so nothing cancels far out in the tail.
+    # other sign than c: integral_|c|^inf (t - |c|)^2 f(t) dt, the table's
+    # tail about |c|, so nothing cancels far out in the tail.
     # k * k overflows to inf where k ** 2 raises OverflowError; the gate below reports it.
-    far_tail = t.upper[2] - 2.0 * x * t.upper[1] + x * x * t.upper[0]
-    value = near * near * (2.0 * m2_half + x * x) + (far * far - near * near) * far_tail
+    value = near * near * (2.0 * m2_half + x * x) + (far * far - near * near) * t.excess[2]
     if not math.isfinite(value):
         raise RangeError("expected squared loss is not representable in float64")
     return value
@@ -145,6 +144,6 @@ def d_expected_loss(dist: ErrorDistribution, params: LossParams, c, *, table=Non
     k2 otherwise, it does not cancel far out in the tail.
     """
     c = float(c)
-    upper0 = _table_for(dist, abs(c), table).upper[0]
+    mass_above = _table_for(dist, abs(c), table).excess[0]
     near, _ = _costs_by_side(params, c)
-    return _sgn(c) * (near - params.k_sum * upper0)
+    return _sgn(c) * (near - params.k_sum * mass_above)

@@ -117,10 +117,9 @@ def solve_offset(dist: ErrorDistribution, params: LossParams) -> OffsetSolution:
                 break
             c_opt, gc, table_c = candidate, g_candidate, table_candidate
 
-        # A derivative that stays critical just beyond C means a whole
-        # interval of ties; the quantile already sits at its near end.
-        probe = abs(c_opt) + 1e-6 * max(dist.scale, abs(c_opt))
-        flat = abs(g(side * probe)[0]) <= 1e-12 * k_min
+        # No density just beyond a critical C: a whole interval ties, C at its near end.
+        beyond = float(dist.pdf(np.nextafter(abs(c_opt), math.inf)))
+        flat = abs(gc) <= 1e-12 * k_min and beyond == 0.0
 
     residual = gc + 0.0  # + 0.0 turns -0.0 into 0.0
     tol = RESIDUAL_TOL * min(1.0, k_min) + ks * float(dist.pdf(c_opt)) * math.ulp(c_opt)

@@ -5,6 +5,11 @@ quadrature/root-finding, configured tighter than the library's own
 fallback path, so agreement between these values and the library's
 closed forms is evidence rather than tautology.
 
+``StepOracle`` works in exact rational arithmetic instead: a symmetric
+step density (the uniform law and every fitted ``EmpiricalSymmetric``
+among them) has loss moments and partial moments that are finite sums of
+polynomials, so ``fractions.Fraction`` gives them with no rounding at all.
+
 ``read_error_csv_rows`` is the CLI's error-log reader as a plain row loop
 (``csv`` plus ``float()``), the reference the one-pass reader is held to.
 ``verify_csv_text`` is the verify CSV as ``csv.writer`` writes report rows,
@@ -15,6 +20,7 @@ import csv
 import dataclasses
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, optimize
@@ -79,6 +85,82 @@ def loss_moment_quad(pdf, c, k1, k2, power, *, support=math.inf, kinks=()):
         assert err < 1e-8 * max(1.0, abs(val)), "oracle loss-moment quadrature failed"
         total += val
     return total
+
+
+class StepOracle:
+    """Exact moments of the symmetric density equal to ``heights[j]`` for
+    |z| in (breakpoints[j], breakpoints[j + 1]], taken as given: the floats
+    are read as the rationals they are, and every result is a Fraction.
+
+    Every float is a dyadic rational, so the sums run over Python ints, the
+    values times one power of two, and only the result is a Fraction.
+    """
+
+    def __init__(self, breakpoints, heights):
+        self.t = [Fraction(float(v)) for v in breakpoints]
+        self.h = [Fraction(float(v)) for v in heights]
+
+    @classmethod
+    def of(cls, dist):
+        """The oracle of an ``EmpiricalSymmetric``, or of a ``Uniform`` with
+        its density 1/(2w) as a float (exact when w is a power of two)."""
+        if hasattr(dist, "w"):
+            return cls([0.0, dist.w], [float(dist.pdf(0.0))])
+        return cls(dist.breakpoints, dist.heights)
+
+    def _scaled(self, *extra):
+        """(pieces, extra values, scale): each breakpoint, height and extra
+        value times ``scale``, a power of two that makes all of them ints;
+        the pieces as (start, stop, height) triples."""
+        values = [*self.t, *self.h, *(Fraction(float(v)) for v in extra)]
+        scale = max(v.denominator for v in values)  # each denominator divides it
+        ints = [v.numerator * (scale // v.denominator) for v in values]
+        n = len(self.t)
+        t, h = ints[:n], ints[n:2 * n - 1]
+        return list(zip(t, t[1:], h)), ints[2 * n - 1:], scale
+
+    def loss_moment(self, k1, k2, c, power):
+        """E[L(Z + c)^power] for the loss k1 u (u >= 0), -k2 u (u < 0)."""
+        pieces, (k1, k2, c), scale = self._scaled(k1, k2, c)
+        k1, k2 = k1 ** power, k2 ** power
+
+        def integral(u):  # integral_0^u L(v)^power dv, times (power + 1)
+            return k1 * u ** (power + 1) if u >= 0 else -k2 * (-u) ** (power + 1)
+
+        total = sum(
+            h * (integral(b + c) - integral(a + c) + integral(c - a) - integral(c - b))
+            for a, b, h in pieces
+        )
+        return Fraction(total, (power + 1) * scale ** (2 * power + 2))
+
+    def loss_stats(self, k1, k2, c):
+        """(E[L(Z + c)], Var[L(Z + c)])."""
+        mean = self.loss_moment(k1, k2, c, 1)
+        return mean, self.loss_moment(k1, k2, c, 2) - mean * mean
+
+    def partial_moments(self, x):
+        """(lower, upper): integral_0^x t^k f and integral_x^inf t^k f, k = 0, 1, 2."""
+        pieces, (x,), scale = self._scaled(x)
+        lower, upper = [], []
+        for n in (1, 2, 3):
+            below = sum(h * (min(b, x) ** n - min(a, x) ** n) for a, b, h in pieces)
+            whole = sum(h * (b ** n - a ** n) for a, b, h in pieces)
+            lower.append(Fraction(below, n * scale ** (n + 1)))
+            upper.append(Fraction(whole - below, n * scale ** (n + 1)))
+        return lower, upper
+
+    def beta(self, x):
+        """The library's beta kernel, -T1^2 + 2 g L2 + 4 x g U1 + U1^2 - x^2 U0 (g + 1/2)."""
+        x = Fraction(x)
+        (g, l1, l2), (u0, u1, _) = self.partial_moments(x)
+        t1 = l1 + u1
+        return -t1 * t1 + 2 * g * l2 + 4 * x * g * u1 + u1 * u1 - x * x * u0 * (g + Fraction(1, 2))
+
+
+def relative_error(got, exact):
+    """|got - exact| / |exact| in exact arithmetic (|got| when exact is 0)."""
+    gap = abs(Fraction(got) - exact)
+    return float(gap / abs(exact)) if exact else float(gap)
 
 
 def read_error_csv_rows(path):

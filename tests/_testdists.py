@@ -53,13 +53,13 @@ class GappedDensity(ErrorDistribution):
         x = np.asarray(x, dtype=float)
         r1 = np.clip(x, 0.0, 1.0)
         r2 = np.clip(x, 2.0, 3.0)
-        lower, upper = [], []
+        lower, excess = [], []
         for n in (1, 2, 3):
-            below = (r1 ** n + r2 ** n - 2.0 ** n) / (4.0 * n)
-            total = (1.0 + 3.0 ** n - 2.0 ** n) / (4.0 * n)
-            lower.append(below)
-            upper.append(total - below)
-        return tuple(lower), tuple(upper)
+            lower.append((r1 ** n + r2 ** n - 2.0 ** n) / (4.0 * n))
+            # each piece [a, b] above x, about x: (b - x)^n - (a - x)^n, clipped at 0
+            ends = [np.maximum(end - x, 0.0) ** n for end in (0.0, 1.0, 2.0, 3.0)]
+            excess.append((ends[1] - ends[0] + ends[3] - ends[2]) / (4.0 * n))
+        return tuple(lower), tuple(excess)
 
     def _magnitude_quantile(self, q):
         q = np.asarray(q, dtype=float)

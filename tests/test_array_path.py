@@ -183,9 +183,12 @@ class TestSweepRows:
                 fields = (r.alpha, r.beta, r.s_tail - r.s_extremal, r.gamma_slack, r.eq1_lhs)
                 assert r.margin == min(v for v in fields if not math.isnan(v))
                 assert r.passed is (r.margin >= -1e-9)
-            # gamma_slack alone sets the margin on some rows of every family here
-            assert any(r.margin == r.gamma_slack < min(r.alpha, r.beta, r.s_tail - r.s_extremal)
-                       for r in rows)
+            # gamma_slack alone sets the margin on some rows of every family
+            # here but the uniform: its alpha, tail slack and gamma_slack are
+            # all 0 inside the support, so which is least is rounding noise.
+            if not isinstance(dist, Uniform):
+                assert any(r.margin == r.gamma_slack < min(r.alpha, r.beta, r.s_tail - r.s_extremal)
+                           for r in rows)
             assert all(type(r.x) is float and type(r.passed) is bool for r in rows)
             if isinstance(dist, GeneralizedGaussian):
                 assert math.isnan(rows[0].eq1_lhs)

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from _oracles import read_error_csv_rows, verify_csv_text
+from _oracles import StepOracle, read_error_csv_rows, relative_error, verify_csv_text
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +26,7 @@ from asymloss import (
     OffsetSolution,
     RangeError,
     SavingsReport,
+    Uniform,
     cli,
     estimate_loss_stats,
     fit_empirical,
@@ -91,6 +92,16 @@ class TestAnalyzeParametric:
         assert payload["inequality_summary"]["all_passed"] is True
         assert payload["inequality_summary"]["min_margin"] >= -1e-9
         assert "verdict=ok" in err
+
+    def test_uniform_variance_exact_near_the_support_end(self, capsys):
+        # C lies within 4e-7 of w = 2, where the tail beyond C is a sliver.
+        argv = ["analyze", "--dist", "uniform:w=2", "--k1", "1", "--k2", "1e7",
+                "--mc-n", "20000", "--fixed-clock"]
+        code, payload, _ = run_json(capsys, argv)
+        assert code == 0
+        sol = payload["solution"]
+        _, exact = StepOracle.of(Uniform(2.0)).loss_stats(1.0, 1e7, sol["C"])
+        assert relative_error(sol["variance_at_C"], exact) <= 1e-13
 
     def test_deterministic_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

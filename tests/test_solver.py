@@ -11,10 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import fractile_root
+from _oracles import StepOracle, fractile_root, relative_error
 from _testdists import GappedDensity, PdfOnly, Triangular
 from asymloss import (
     CrossCheckError,
+    EmpiricalSymmetric,
     Gaussian,
     GeneralizedGaussian,
     Laplace,
@@ -99,6 +100,18 @@ GRID_DISTS = [
 ]
 
 
+def _assert_exact(sol, oracle, params):
+    """Each moment of the solution within 1e-13 (relative) of the rational
+    value for the same C."""
+    k1, k2 = params.k1, params.k2
+    mean_c, var_c = oracle.loss_stats(k1, k2, sol.C)
+    _, var_0 = oracle.loss_stats(k1, k2, 0.0)
+    pairs = [(sol.expected_at_C, mean_c), (sol.variance_at_C, var_c),
+             (sol.variance_at_zero, var_0), (sol.beta_at_C, oracle.beta(abs(sol.C)))]
+    for got, exact in pairs:
+        assert relative_error(got, exact) <= 1e-13, (sol, got, float(exact))
+
+
 def _gg_fit():
     """The empirical fit of 1000 GG(0.75, 1) draws: a bounded support whose
     density is positive up to its end."""
@@ -180,19 +193,52 @@ class TestSolutionInvariants:
 
     def test_fitted_empirical_cross_checks_hold(self):
         # The fit's density is positive up to its support end, so from a
-        # ratio near 1e11 one ulp of C moves the residual past what the
-        # cross-check tolerates; see the bounded-support test below.
+        # ratio near 1e10 one ulp of C moves the residual past what the
+        # cross-check tolerates; see the bounded-support test below.  Up
+        # to there every answer is exact to rounding, checked in rationals.
         fitted = _gg_fit()
-        for e in range(-12, 11):
-            solve_offset(fitted, LossParams(1.0, 10.0 ** e))
+        oracle = StepOracle.of(fitted)
+        for e in range(-12, 10):
+            params = LossParams(1.0, 10.0 ** e)
+            _assert_exact(solve_offset(fitted, params), oracle, params)
 
     @pytest.mark.xfail(raises=CrossCheckError, strict=True,
                        reason="C rounds to a float where a bounded support's density is "
                               "still positive; the k_sum*upper[1] route is off by |C|*residual")
-    @pytest.mark.parametrize("make, k2", [(lambda: Uniform(1.0), 1e9), (_gg_fit, 1e12)],
-                             ids=["uniform", "empirical"])
+    @pytest.mark.parametrize("make, k2", [(lambda: Uniform(1.0), 1e9), (_gg_fit, 1e12),
+                                          (_gg_fit, 1e10)],
+                             ids=["uniform", "empirical", "empirical-1e10"])
     def test_bounded_support_cross_check_limit(self, make, k2):
         solve_offset(make(), LossParams(1.0, k2))
+
+    @pytest.mark.parametrize("e", [6, 7, 8])
+    def test_uniform_moments_exact_near_the_support_end(self, e):
+        # C lies within 4e-6 (at 1e6) to 4e-8 (at 1e8) of w = 2; the tail
+        # about C is taken directly, not as a difference of moments about 0.
+        params = LossParams(1.0, 10.0 ** e)
+        _assert_exact(solve_offset(Uniform(2.0), params), StepOracle.of(Uniform(2.0)), params)
+
+    @given(
+        widths=st.lists(st.integers(1, 64), min_size=1, max_size=6),
+        levels=st.lists(st.integers(1, 64), min_size=6, max_size=6),
+        unit=st.integers(-8, 8),
+        e=st.integers(-12, 12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_step_densities_exact(self, widths, levels, unit, e):
+        # Every symmetric unimodal law is a scale mixture of uniforms
+        # (Khintchine), and the step densities are its finite mixtures: an
+        # exact oracle over the paper's whole assumption class.  Breakpoints
+        # and heights are dyadic; heights do not increase.
+        breaks = np.ldexp(np.cumsum([0, *widths]), unit)
+        heights = np.ldexp(sorted(levels[: len(widths)], reverse=True), -unit - 6)
+        dist = EmpiricalSymmetric(breaks, heights)
+        params = LossParams(1.0, 10.0 ** e)
+        try:
+            sol = solve_offset(dist, params)
+        except CrossCheckError:
+            return  # C rounded to where the in-table check cannot hold; see above
+        _assert_exact(sol, StepOracle.of(dist), params)
 
     @given(
         family=st.sampled_from([Laplace, Gaussian, partial(GeneralizedGaussian, 0.75)]),
@@ -298,10 +344,10 @@ class TestFailureModes:
             # reachable CDF tops out at 0.9 on both sides of the table:
             # the 0.99 fractile has no root
             def _half_moments(self, x):
-                lower, upper = super()._half_moments(x)
+                lower, excess = super()._half_moments(x)
                 return (
                     (np.minimum(lower[0], 0.4), *lower[1:]),
-                    (np.maximum(upper[0], 0.1), *upper[1:]),
+                    (np.maximum(excess[0], 0.1), *excess[1:]),
                 )
 
         with pytest.raises(NumericError):
