@@ -48,7 +48,7 @@ from .loss_model import (
     loss,
     variance_of_loss,
 )
-from .montecarlo import McEstimate, estimate_loss_stats, estimate_quantile
+from .montecarlo import McEstimate, estimate_loss_stats
 from .solver import OffsetSolution, SavingsReport, savings_report, solve_offset
 
 __version__ = "0.1.0"
@@ -81,7 +81,6 @@ __all__ = [
     "d_beta",
     "d_expected_loss",
     "estimate_loss_stats",
-    "estimate_quantile",
     "expected_loss",
     "expected_loss_sq",
     "extremal_bound",

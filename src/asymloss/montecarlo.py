@@ -23,10 +23,9 @@ from .distributions import ErrorDistribution
 from .errors import RangeError
 from .loss_model import LossParams, loss
 
-__all__ = ["McEstimate", "estimate_loss_stats", "estimate_quantile"]
+__all__ = ["McEstimate", "estimate_loss_stats"]
 
 _MIN_STATS_N = 1_000
-_MIN_QUANTILE_N = 10_000
 
 
 @dataclass(frozen=True)
@@ -50,11 +49,12 @@ class McEstimate:
 def estimate_loss_stats(
     dist: ErrorDistribution,
     params: LossParams,
-    c,
+    offsets,
     n: int,
     seed: int,
-) -> McEstimate:
-    """Estimate E[L(Z + c)] and Var[L(Z + c)] from n simulated errors.
+) -> list[McEstimate]:
+    """Estimate E[L(Z + c)] and Var[L(Z + c)] at each offset c from the same
+    n simulated errors: one estimate per offset, in order.
 
     Accumulates power sums of the losses shifted by the first observed
     value, which keeps four moments' worth of precision without holding
@@ -62,65 +62,59 @@ def estimate_loss_stats(
     taken from the first chunk, which brings its largest one into
     [1/2, 1): the fourth powers then neither underflow nor overflow at
     extreme scales, and the scale comes back out exactly at the end.
+    Each offset has its own pivot, scale and power sums, taken as a lone
+    offset's would be: its estimate does not depend on the others.
     """
     n = int(n)
     if n < _MIN_STATS_N:
         raise ValueError(f"need n >= {_MIN_STATS_N} for stable estimates, got {n}")
-    c = float(c)
+    offsets = np.asarray(offsets, dtype=float)
+    if offsets.ndim != 1 or offsets.size == 0:
+        raise ValueError(f"offsets must be a non-empty 1-D sequence, got shape {offsets.shape}")
 
-    pivot = None
-    s1 = s2 = s3 = s4 = 0.0
+    pivots, exponents = [], []
+    sums = np.zeros((offsets.size, 4))
     for chunk in dist.sample_chunks(n, seed):
-        y = loss(chunk + c, params)
-        # Overflow lands in the sums as inf, which the check below refuses.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if pivot is None:
-                pivot = float(y[0])
-                # frexp gives exponent 0 for 0, inf and nan.
-                exponent = math.frexp(float(np.max(np.abs(y - pivot))))[1]
-            d = np.ldexp(y - pivot, -exponent)
-            d2 = d * d
-            s1 += float(d.sum())
-            s2 += float(d2.sum())
-            s3 += float((d2 * d).sum())
-            s4 += float((d2 * d2).sum())
+        # One offset at a time: a (k, m) block of the chunk at every offset
+        # falls out of cache and measured slower.
+        for i, c in enumerate(offsets.tolist()):
+            y = loss(chunk + c, params)
+            # Overflow lands in the sums as inf, which the check below refuses.
+            with np.errstate(over="ignore", invalid="ignore"):
+                if i == len(pivots):  # the first chunk sets the pivot and scale
+                    pivots.append(float(y[0]))
+                    # frexp gives exponent 0 for 0, inf and nan.
+                    exponents.append(math.frexp(float(np.max(np.abs(y - pivots[i]))))[1])
+                d = np.ldexp(y - pivots[i], -exponents[i])
+                d2 = d * d
+                sums[i] += (d.sum(), d2.sum(), (d2 * d).sum(), (d2 * d2).sum())
 
-    if not all(math.isfinite(s) for s in (s1, s2, s3, s4)):
+    if not np.all(np.isfinite(sums)):
         raise RangeError("power sums of the simulated losses overflow float64")
-    # Every moment below is homogeneous in the scaled losses, and so is
-    # each square root, so undoing the scale by ldexp is exact.
-    delta = s1 / n
-    mean = pivot + math.ldexp(delta, exponent)
-    m2 = s2 / n - delta * delta
-    m4 = (
-        s4 / n
-        - 4.0 * delta * (s3 / n)
-        + 6.0 * delta * delta * (s2 / n)
-        - 3.0 * delta ** 4
-    )
-    variance = m2 * n / (n - 1)
-    var_of_variance = max(0.0, (m4 - m2 * m2 * (n - 3) / (n - 1)) / n)
-    try:
-        return McEstimate(
-            mean=mean,
-            variance=math.ldexp(variance, 2 * exponent),
-            std_error_mean=math.ldexp(math.sqrt(max(0.0, variance) / n), exponent),
-            std_error_variance=math.ldexp(math.sqrt(var_of_variance), 2 * exponent),
-            n=n,
-            seed=int(seed),
+    estimates = []
+    for (s1, s2, s3, s4), pivot, exponent in zip(sums.tolist(), pivots, exponents):
+        # Every moment below is homogeneous in the scaled losses, and so is
+        # each square root, so undoing the scale by ldexp is exact.
+        delta = s1 / n
+        mean = pivot + math.ldexp(delta, exponent)
+        m2 = s2 / n - delta * delta
+        m4 = (
+            s4 / n
+            - 4.0 * delta * (s3 / n)
+            + 6.0 * delta * delta * (s2 / n)
+            - 3.0 * delta ** 4
         )
-    except OverflowError:
-        raise RangeError("the variance of the simulated losses overflows float64") from None
-
-
-def estimate_quantile(dist: ErrorDistribution, p, n: int, seed: int) -> float:
-    """Order-statistic estimate of the p-quantile from n simulated errors."""
-    n = int(n)
-    if n < _MIN_QUANTILE_N:
-        raise ValueError(f"need n >= {_MIN_QUANTILE_N} for quantiles, got {n}")
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    sample = dist.sample(n, seed)
-    k = min(n - 1, max(0, math.ceil(p * n) - 1))
-    return float(np.partition(sample, k)[k])
+        variance = m2 * n / (n - 1)
+        var_of_variance = max(0.0, (m4 - m2 * m2 * (n - 3) / (n - 1)) / n)
+        try:
+            estimates.append(McEstimate(
+                mean=mean,
+                variance=math.ldexp(variance, 2 * exponent),
+                std_error_mean=math.ldexp(math.sqrt(max(0.0, variance) / n), exponent),
+                std_error_variance=math.ldexp(math.sqrt(var_of_variance), 2 * exponent),
+                n=n,
+                seed=int(seed),
+            ))
+        except OverflowError:
+            raise RangeError("the variance of the simulated losses overflows float64") from None
+    return estimates

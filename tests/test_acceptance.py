@@ -219,7 +219,7 @@ def test_criterion_06_monte_carlo_agreement(capsys):
     band_failures = []
     for i, (dist, (k1, k2), c) in enumerate(MC_CONFIGS):
         params = LossParams(k1, k2)
-        est = estimate_loss_stats(dist, params, c, 1_000_000, seed=100 + i)
+        (est,) = estimate_loss_stats(dist, params, [c], 1_000_000, seed=100 + i)
         mean = expected_loss(dist, params, c)
         var = variance_of_loss(dist, params, c)
         if abs(est.mean - mean) > 5.0 * est.std_error_mean:
@@ -232,7 +232,7 @@ def test_criterion_06_monte_carlo_agreement(capsys):
     var = variance_of_loss(dist, params, c)
     hits = 0
     for seed in range(100):
-        est = estimate_loss_stats(dist, params, c, 100_000, seed)
+        (est,) = estimate_loss_stats(dist, params, [c], 100_000, seed)
         if (
             abs(est.mean - mean) <= 3.0 * est.std_error_mean
             and abs(est.variance - var) <= 3.0 * est.std_error_variance

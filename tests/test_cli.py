@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import warnings
 
 import numpy as np
@@ -18,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from asymloss import (
+    MARGIN_TOL,
     SAMPLE_CHUNK,
     Gaussian,
     GeneralizedGaussian,
@@ -194,9 +194,8 @@ class TestAnalyzeInputErrors:
 
 
 class TestAnalyzeMonteCarlo:
-    """The two Monte Carlo estimates: the uncorrected one runs on a second
-    thread while the main thread solves, so these pin what a serial run
-    would give, which error wins, and that no thread outlives ``main``."""
+    """The two Monte Carlo estimates, at c = 0 and c = C, come from one call
+    on the same ``--seed`` draws, made after the solve and the sweep."""
 
     # More than one sampling chunk, so the chunks' order of summation counts.
     MC_N = 2 * SAMPLE_CHUNK + 1001
@@ -220,39 +219,22 @@ class TestAnalyzeMonteCarlo:
         # A passing run's summary line names nothing after its verdict.
         assert code == 0 and err.endswith("; verdict=ok\n") and err.count("\n") == 1
         params, C = LossParams(1.0, 4.0), payload["solution"]["C"]
-        for check, c, seed in zip(payload["mc_checks"], (0.0, C), (9, 10)):
-            est = estimate_loss_stats(dist, params, c, self.MC_N, seed)
-            assert (check["c"], check["n"], check["seed"]) == (c, self.MC_N, seed)
+        paired = estimate_loss_stats(dist, params, [0.0, C], self.MC_N, 9)
+        for check, c, est in zip(payload["mc_checks"], (0.0, C), paired, strict=True):
+            assert (check["c"], check["n"], check["seed"]) == (c, self.MC_N, 9)
             assert check["mc_mean"] == est.mean
             assert check["mc_variance"] == est.variance
             assert check["std_error_mean"] == est.std_error_mean
             assert check["std_error_variance"] == est.std_error_variance
 
-    def test_uncorrected_error_wins_over_corrected(self, monkeypatch, capsys):
-        # c = 0 raises an input error (exit 1), and only after c = C has raised
-        # a numerical one (exit 3), so its error wins by order, not by time.
-        c_failed = threading.Event()
-
-        def fake(dist, params, c, n, seed):
-            if c == 0.0:
-                assert c_failed.wait(timeout=10)
-                raise ValueError("estimate at zero refused")
-            c_failed.set()
-            raise RangeError("estimate at C overflowed")
+    def test_estimate_range_error_exits_3(self, monkeypatch, capsys):
+        def fake(dist, params, offsets, n, seed):
+            assert offsets[0] == 0.0 and len(offsets) == 2
+            raise RangeError("estimate overflowed")
 
         monkeypatch.setattr(cli, "estimate_loss_stats", fake)
         code = main(["analyze", "--dist", "laplace:b=1", "--k1", "1", "--k2", "3"])
-        assert (code, capsys.readouterr().err) == (1, "error: estimate at zero refused\n")
-
-    def test_corrected_error_surfaces_alone(self, monkeypatch, capsys):
-        def fake(dist, params, c, n, seed):
-            if c != 0.0:
-                raise RangeError("estimate at C overflowed")
-            return estimate_loss_stats(dist, params, c, n, seed)
-
-        monkeypatch.setattr(cli, "estimate_loss_stats", fake)
-        code = main(["analyze", "--dist", "laplace:b=1", "--k1", "1", "--k2", "3"])
-        assert (code, capsys.readouterr().err) == (3, "error: estimate at C overflowed\n")
+        assert (code, capsys.readouterr().err) == (3, "error: estimate overflowed\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["--dist", "uniform:w=1", "--k1", "1", "--k2", "1e9"], "error: expected loss at C disagrees"),
@@ -260,25 +242,13 @@ class TestAnalyzeMonteCarlo:
          "error: beta of uniform overflows float64"),
     ], ids=["solver-cross-check", "sweep-range"])
     def test_solve_and_sweep_errors_win_over_both(self, argv, message, monkeypatch, capsys):
-        def fake(dist, params, c, n, seed):
-            raise ValueError(f"estimate at {c} refused")
+        def fake(dist, params, offsets, n, seed):
+            raise ValueError(f"estimate at {offsets} refused")
 
         monkeypatch.setattr(cli, "estimate_loss_stats", fake)
         assert main(["analyze", *argv]) == 3
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
-
-    @pytest.mark.parametrize("argv, code", [
-        (["--dist", "laplace:b=1", "--k1", "1", "--k2", "3", "--mc-n", "20000"], 0),
-        (["--dist", "laplace:b=1", "--k1", "1", "--k2", "3", "--mc-n", "10"], 1),
-        (["--dist", "uniform:w=1", "--k1", "1", "--k2", "1e9"], 3),
-        (["--dist", "gg:a=40,b=1", "--k1", "1", "--k2", "3", "--mc-n", "20000"], 3),
-    ], ids=["ok", "input-error", "cross-check-error", "failed-verdict"])
-    def test_no_thread_outlives_main(self, argv, code, capsys):
-        baseline = threading.active_count()
-        assert main(["analyze", *argv]) == code
-        capsys.readouterr()
-        assert threading.active_count() == baseline
 
     def test_failed_verdict_names_each_failure(self, capsys):
         code, payload, err = run_json(
@@ -304,13 +274,34 @@ class TestAnalyzeMonteCarlo:
             "corrected variance -inf standard errors off"
         ]
 
-    def test_failed_sweep_names_its_margin(self, monkeypatch, capsys):
-        def failing_sweep(dists, **kwargs):
-            reports = sweep(dists, **kwargs)
-            reports[3] = dataclasses.replace(reports[3], margin=-2.5e-3, passed=False)
-            return reports
+    @pytest.mark.parametrize("spec, points", [
+        ("laplace:b=1", 200), ("gauss:sigma=2", 200), ("uniform:w=1", 200),
+        ("gg:a=0.25,b=1", 200), ("gg:a=3,b=1", 1000),
+    ])
+    def test_sweep_summary_matches_the_reports(self, spec, points, capsys):
+        # The summary is read from the sweep's columns; it is what the
+        # report objects of the same sweep give, the first least margin's x.
+        _, payload, _ = run_json(capsys, [
+            "analyze", "--dist", spec, "--k1", "1", "--k2", "3", "--mc-n", "2000",
+            "--grid-points", str(points), "--fixed-clock",
+        ])
+        reports = sweep([parse_dist_spec(spec)], n_points=points)
+        worst = min(reports, key=lambda r: r.margin)
+        assert payload["inequality_summary"] == {
+            "n_points": points,
+            "min_margin": worst.margin,
+            "worst_x": worst.x,
+            "all_passed": all(r.passed for r in reports),
+            "tolerance": MARGIN_TOL,
+        }
 
-        monkeypatch.setattr(cli, "sweep", failing_sweep)
+    def test_failed_sweep_names_its_margin(self, monkeypatch, capsys):
+        def failing_sweep(dists, n_points, span):
+            blocks = _sweep_blocks(dists, n_points, span)
+            blocks[0][1][3, -1] = -2.5e-3
+            return blocks
+
+        monkeypatch.setattr(cli, "_sweep_blocks", failing_sweep)
         code, payload, err = run_json(
             capsys, ["analyze", "--dist", "laplace:b=1", "--k1", "1", "--k2", "3", "--mc-n", "20000"]
         )
@@ -1044,9 +1035,9 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "True"]
 
-    def test_first_use_on_two_threads_matches_a_preloaded_run(self):
-        # In a fresh process the solve and the c = 0 estimate on the second
-        # thread both reach scipy.special first, and may import it together.
+    def test_first_use_matches_a_preloaded_run(self):
+        # In a fresh process the solve is the first to reach scipy.special and
+        # imports it; the report is the same as with it imported beforehand.
         argv = ["analyze", "--dist", "gauss:sigma=1.3", "--k1", "2", "--k2", "11",
                 "--mc-n", "200000", "--seed", "7", "--fixed-clock"]
         fresh = subprocess.run(
