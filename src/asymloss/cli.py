@@ -204,18 +204,19 @@ def parse_grid_spec(spec: str):
     return _sweep_blocks(dists, points, span)
 
 
-def _within_field_limit(path: str) -> bool:
-    """False when a cell of the file may exceed csv's field size limit.
+def _within_field_limit(source) -> bool:
+    """False when a cell of ``source`` (a path, or the bytes of the input)
+    may exceed csv's field size limit.
 
     An unquoted cell that long spans a whole aligned block of half the
     limit with no comma or line break in it (each is one byte in UTF-8); a
-    quoted cell may hold both, so a long file with a quote is not cleared
-    either.  Reads the file in blocks, so memory stays at one block.
+    quoted cell may hold both, so a long input with a quote is not cleared
+    either.  Reads a file in blocks, so memory stays at one block.
     """
     limit = csv.field_size_limit()
     step = max(limit // 2, 1)
     size, quoted = 0, False
-    with open(path, "rb") as raw:
+    with open(source, "rb") if isinstance(source, str) else io.BytesIO(source) as raw:
         while block := raw.read(step):
             size += len(block)
             quoted = quoted or b'"' in block
@@ -224,23 +225,26 @@ def _within_field_limit(path: str) -> bool:
     return size <= limit or not quoted
 
 
-def _parse_body(path: str, n_cols: int):
-    """The rows after the one-line header of the file at path, as an
-    (n, n_cols) array, or None.
+def _parse_body(source, n_cols: int):
+    """The rows after the one-line header of ``source`` (a path, or the
+    bytes of the input), as an (n, n_cols) array, or None.
 
-    One C-level pass by ``np.loadtxt``, which reads a path in blocks (a
-    handle it would read line by line).  Every cell it accepts, ``float()``
-    accepts with the same value, so a table it returns is what the row loop
-    in ``read_error_csv`` would build.  It refuses more: whitespace-only or
+    One C-level pass by ``np.loadtxt``, which reads a path in blocks and
+    in-memory bytes line by line, both decoded as UTF-8 with universal
+    newlines.  Every cell it accepts, ``float()`` accepts with the same
+    value, so a table it returns is what the row loop in
+    ``read_error_csv`` would build.  It refuses more: whitespace-only or
     comma-only rows, ``1_0`` or non-ASCII digits, and malformed rows.  None
     means the caller reads the body row by row instead.
     """
     with warnings.catch_warnings():
         # An empty body is reported by the row loop, not as a warning.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        if isinstance(source, bytes):
+            source = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8")
         try:
             table = np.loadtxt(
-                path, skiprows=1, encoding="utf-8", delimiter=",", quotechar='"',
+                source, skiprows=1, encoding="utf-8", delimiter=",", quotechar='"',
                 comments=None, dtype=float, ndmin=2,
             )
         except ValueError:  # also UnicodeDecodeError
@@ -253,16 +257,17 @@ def _parse_body(path: str, n_cols: int):
 def read_error_csv(path: str) -> np.ndarray:
     """Read errors from a CSV with header 'error' or 'y,yhat' (error = yhat - y).
 
-    numpy parses a regular file's body in one pass where it can, from the
-    path; the rest is read row by row.  A pipe, ``/dev/stdin`` or any other
-    file that is not regular is read once, in full, into memory, and row by
-    row: a second open or a seek would find it drained.
+    numpy parses the body in one pass where it can: a regular file from
+    its path, and a pipe, ``/dev/stdin`` or any other file that is not
+    regular from its bytes, read once, in full, into memory (a second open
+    or a seek would find it drained).  The rest is read row by row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         info = os.fstat(fh.fileno())
-        regular = stat.S_ISREG(info.st_mode)
-        if not regular:
-            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8", newline="")
+        data = None
+        if not stat.S_ISREG(info.st_mode):
+            data = fh.buffer.read()
+            fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -277,23 +282,26 @@ def read_error_csv(path: str) -> np.ndarray:
             raise CliInputError(
                 f"{path}: unsupported header {header!r}; expected 'error' or 'y,yhat'"
             )
-        # numpy parses the body in one pass, reading the file again by its
-        # absolute path (which it cannot take for a URL).  So the path must
-        # still name the open regular file, and numpy must not pick a
-        # decompressor by its suffix.  skiprows counts lines, not csv records,
-        # so the header must be one line.  A file that may hold a cell over
-        # csv's field size limit goes to the row loop, which refuses such a
-        # cell wherever it sits.
-        absolute = os.path.abspath(path)
+        # numpy reads a regular file again by its absolute path (which it
+        # cannot take for a URL).  So the path must still name the open
+        # file, and numpy must not pick a decompressor by its suffix.
+        # skiprows counts lines, not csv records, so the header must be one
+        # line.  Input that may hold a cell over csv's field size limit goes
+        # to the row loop, which refuses such a cell wherever it sits.
+        body = data
+        if data is None:
+            absolute = os.path.abspath(path)
+            if os.path.samestat(info, os.stat(absolute)) and not absolute.lower().endswith(
+                _COMPRESSED_SUFFIXES
+            ):
+                body = absolute
         table = None
         if (
-            regular
-            and os.path.samestat(info, os.stat(absolute))
-            and not absolute.lower().endswith(_COMPRESSED_SUFFIXES)
+            body is not None
             and not any("\n" in cell or "\r" in cell for cell in header)
-            and _within_field_limit(absolute)
+            and _within_field_limit(body)
         ):
-            table = _parse_body(absolute, len(cols))
+            table = _parse_body(body, len(cols))
         if table is not None:
             with np.errstate(invalid="ignore"):  # inf - inf: refused later as non-finite
                 return table[:, 1] - table[:, 0] if pair_mode else table[:, 0]

@@ -20,7 +20,8 @@ subclass only has to provide a vectorized ``pdf``; the base class then
 builds, once per instance, a table of Gauss-Legendre panels over the
 density's support and answers every moment and quantile from it: sums of
 whole panels plus one short pass inside the panel that holds the point,
-and a safeguarded Newton-bisection there for quantiles.
+and a safeguarded Newton-bisection there for quantiles, started at the
+root of the density that is linear between the panel's edge values.
 
 Sampling is deterministic and chunked: a draw of n variates is produced in
 fixed-size chunks, chunk i seeded with ``default_rng([seed, i])``, so the
@@ -200,8 +201,10 @@ class _PanelTable:
     with the sum of its halves by more than ``_PANEL_REL`` of that
     order's total is bisected.  Sums of the panel values from the bottom
     (``cum``) and from the top (``tail``) serve every query, with one
-    short Gauss-Legendre pass inside the panel that holds the point.
-    The pdf is only ever called on a 1-D float array.
+    short Gauss-Legendre pass inside the panel that holds the point.  The
+    density at every edge (``edge_density``, one more pdf call) gives each
+    quantile solve its start.  The pdf is only ever called on a 1-D float
+    array.
     """
 
     def __init__(self, pdf):
@@ -233,6 +236,7 @@ class _PanelTable:
         edges = np.concatenate([[0.0], inner[inner < hi], [hi]])
         with np.errstate(over="ignore", invalid="ignore"):
             self.edges, values = self._refine(edges)
+            self.edge_density = self._density(self.edges)
         self.cum = np.concatenate([np.zeros((3, 1)), np.cumsum(values, axis=1)], axis=1)
         self.tail = np.concatenate(
             [np.cumsum(values[:, ::-1], axis=1)[:, ::-1], np.zeros((3, 1))], axis=1
@@ -306,7 +310,18 @@ class _PanelTable:
 
     def magnitude_quantile(self, q):
         """Smallest m with P(|Z| <= m) = q.  Levels above 1/2 are solved on
-        the tail side, against the mass (1 - q)/2 beyond m."""
+        the tail side, against the mass (1 - q)/2 beyond m.
+
+        Each level is solved inside the panel that holds it by a Newton
+        iteration kept in a bisection bracket, one pdf call per iteration
+        for every level still open.  It starts at the root of the density
+        that is linear between the panel's edge values and scaled to the
+        panel's mass: exact where the density is linear on the panel, so
+        that one confirming iteration is left.  Where that model has zero
+        or non-finite mass, or its root falls outside the panel, it starts
+        from the constant density instead.  Either way it stops at a root,
+        at a Newton step within 2 ulp, or at a bracket of adjacent floats.
+        """
         q = np.asarray(q, dtype=float)
         flat = q.ravel()
         tail_side = flat > 0.5
@@ -326,9 +341,25 @@ class _PanelTable:
         # Residual r(m), increasing in m with slope f(m) on both sides.
         base = np.where(tail_side, target - self.tail[0, j + 1], self.cum[0, j] - target)
         mass = self.cum[0, j + 1] - self.cum[0, j]
+        width = stop - start
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = np.where(tail_side, 1.0 - base / mass, -base / mass)
-        m = start + (stop - start) * np.clip(np.nan_to_num(frac), 0.0, 1.0)
+            constant = start + width * np.clip(np.nan_to_num(frac), 0.0, 1.0)
+            # The density linear between the panel's edge values, scaled to
+            # its mass: in units of the panel's width and mass, measured from
+            # the edge the residual counts from, it is a + (2 - 2a) u, so the
+            # share p = |base| / mass is reached at the root u of
+            # a u + (1 - a) u^2 = p, taken without cancellation.
+            fs, fe = self.edge_density[j], self.edge_density[j + 1]
+            both = fs + fe
+            a = np.where(tail_side, fe, fs) / both * 2.0
+            p = np.abs(base) / mass
+            u = 2.0 * p / (a + np.sqrt(a * a + 4.0 * (1.0 - a) * p))
+            linear = np.where(tail_side, stop - width * u, start + width * u)
+        # A model of zero or non-finite mass, or a root outside the panel,
+        # starts from the constant density instead.
+        model = (both > 0.0) & np.isfinite(both) & (u >= 0.0) & (u <= 1.0)
+        m = np.where(model, linear, constant)
         out = np.where(at_edge, self.edges[i], m)
         active = np.flatnonzero(~at_edge)
         for _ in range(_NEWTON_MAX):

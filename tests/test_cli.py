@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -495,6 +496,28 @@ def _read_outcome(read, path):
     return out.dtype, out.shape, out.tobytes()
 
 
+def _read_piped(data, name):
+    """``_read_outcome`` of ``read_error_csv`` on data sent through a pipe,
+    with the pipe's path in an error message replaced by ``name``."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed)  # the data may exceed the pipe's buffer
+    writer.start()
+    try:
+        outcome = _read_outcome(read_error_csv, f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)  # a writer still blocked on the pipe now stops
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    if isinstance(outcome[1], str):
+        return outcome[0], outcome[1].replace(f"/dev/fd/{read_end}", name)
+    return outcome
+
+
 class TestCsvParity:
     """The one-pass reader against the row loop it replaced (tests/_oracles.py)."""
 
@@ -516,8 +539,10 @@ class TestCsvParity:
     def test_same_array_or_same_error(self, data, tmp_path):
         path = tmp_path / "log.csv"
         path.write_bytes(data)
-        assert _read_outcome(read_error_csv, str(path)) == _read_outcome(
-            read_error_csv_rows, str(path))
+        want = _read_outcome(read_error_csv_rows, str(path))
+        assert _read_outcome(read_error_csv, str(path)) == want
+        # Piped, the same bytes are parsed from memory, behind the same gates.
+        assert _read_piped(data, str(path)) == want
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_is_plain_text(self, suffix, tmp_path):
@@ -548,8 +573,22 @@ class TestCsvParity:
             from_pipe = read_error_csv(f"/dev/fd/{read_end}")
         finally:
             os.close(read_end)
-        assert sources == []
+        # A pipe cannot be opened a second time: numpy gets the bytes read.
+        assert len(sources) == 1 and not isinstance(sources[0], str)
         np.testing.assert_array_equal(from_pipe, from_file)
+
+    def test_piped_log_matches_the_path_read(self, tmp_path):
+        # 100 000 rows, half rounded to 2 decimals and half with 9 significant
+        # digits, under both headers: bit for bit the array read by path.
+        errors = np.random.default_rng(47).laplace(size=100_000)
+        cells = [f"{v:.2f}" if i % 2 else f"{v:.9g}" for i, v in enumerate(errors)]
+        for header, rows in [("error", cells), ("y,yhat", [f"0.5,{c}" for c in cells])]:
+            data = (header + "\n" + "\n".join(rows) + "\n").encode()
+            path = tmp_path / "log.csv"
+            path.write_bytes(data)
+            by_path = _read_outcome(read_error_csv, str(path))
+            assert by_path[1] == (100_000,)
+            assert _read_piped(data, str(path)) == by_path
 
     @pytest.mark.parametrize("tail", [
         b"",

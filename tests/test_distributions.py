@@ -382,6 +382,36 @@ class TestAgainstQuadratureOracle:
 # ----------------------------------------------------------------------
 
 
+class _Counting:
+    """Counts the calls of ``pdf``; mixed in before a pdf-only class."""
+
+    calls = 0
+
+    def pdf(self, x):
+        self.calls += 1
+        return super().pdf(x)
+
+
+class _CountingTriangular(_Counting, Triangular):
+    pass
+
+
+class _CountingPdfOnly(_Counting, PdfOnly):
+    pass
+
+
+def _pdf_calls(dist, call):
+    """pdf calls that ``call()`` makes once dist's panel table is built."""
+    dist.partial_moments(0.0)
+    dist.calls = 0
+    call()
+    return dist.calls
+
+
+# 32 levels uniform in [0.005, 0.995], as one `custom_pdf` benchmark operation takes.
+_LEVELS_32 = np.random.default_rng(1).uniform(0.005, 0.995, 32)
+
+
 class TestQuadratureFallback:
     def test_cdf_closed_form(self):
         d = Triangular()
@@ -423,19 +453,51 @@ class TestQuadratureFallback:
     def test_one_pdf_call_per_table(self):
         # Once the panel table is built, all six moments at every point come
         # from one density pass over both sides' nodes.
-        class Counting(Triangular):
-            calls = 0
-
-            def pdf(self, x):
-                self.calls += 1
-                return super().pdf(x)
-
-        d = Counting()
-        d.partial_moments(0.0)
+        d = _CountingTriangular()
         for x in (0.4, np.array([0.0, 0.3, 0.999, 1.0, 2.5])):
-            d.calls = 0
-            d.partial_moments(x)
-            assert d.calls == 1
+            assert _pdf_calls(d, lambda: d.partial_moments(x)) == 1
+
+    def test_linear_panels_start_exact(self):
+        # Each level's Newton solve starts at the root of its panel's linear
+        # density model, which is the triangle itself: one confirming pass,
+        # and a second for the few levels whose first Newton step still moves
+        # by more than 2 ulp.  The constant-density start took 7 and 13 calls.
+        d = _CountingTriangular()
+        assert _pdf_calls(d, lambda: d.quantile(_LEVELS_32)) <= 2
+        assert _pdf_calls(d, lambda: d.sample(20_000, seed=5)) <= 3
+
+    def test_flat_panels_take_one_pass(self):
+        d = _CountingPdfOnly(Uniform(2.0))
+        assert _pdf_calls(d, lambda: d.quantile(_LEVELS_32)) == 1
+        assert _pdf_calls(d, lambda: d.sample(20_000, seed=5)) == 1
+
+    @pytest.mark.parametrize("dist, want", [
+        (_CountingTriangular(),
+         [5.00000000000125e-13, 0.001501126690670722, 0.13397459621556135, 0.2928932188134525,
+          0.5, 0.6837722339831622, 0.9683772233983162, 0.9999683772238455]),
+        (_CountingPdfOnly(Laplace(1.0)),
+         [1.0000000000005e-12, 0.0030045090202987217, 0.28768207245178096, 0.6931471805599453,
+          1.38629436111989, 2.302585092994045, 6.907755278982134, 20.723265865228335]),
+    ], ids=["triangular", "laplace"])
+    def test_degenerate_model_starts_flat(self, dist, want):
+        # With no usable edge density the solve starts from the constant
+        # density, as it did before the linear model, and gives its answers
+        # and its pass count.
+        dist.partial_moments(0.0)
+        table = dist._panels()
+        table.edge_density = np.full_like(table.edge_density, np.nan)
+        q = np.array([1e-12, 0.003, 0.25, 0.5, 0.75, 0.9, 0.999, 1 - 1e-9])
+        assert dist._magnitude_quantile(q).tolist() == want
+        assert _pdf_calls(dist, lambda: dist.quantile(_LEVELS_32)) >= 6
+
+    def test_quantiles_against_exact(self):
+        # P(|Z| <= m) = 2m - m^2, so m = 1 - sqrt(1 - q), here in 50 digits.
+        q = np.concatenate([np.geomspace(1e-15, 0.5, 120), 1.0 - np.geomspace(1e-15, 0.5, 120)[:-1]])
+        got = Triangular()._magnitude_quantile(q)
+        with mpmath.workdps(50):
+            exact = [float(1 - mpmath.sqrt(1 - mpmath.mpf(v))) for v in q]
+        ulps = [abs(g - e) / math.ulp(e) for g, e in zip(got, exact)]
+        assert max(ulps) <= 2.0
 
     def test_far_level_draw_stays_in_support(self):
         # One draw of this sample has magnitude level u = 0.9999996269 and
