@@ -13,6 +13,8 @@ recovered offset can be compared with the exact answer ln 2.
 
 import math
 
+import numpy as np
+
 from asymloss import Laplace, LossParams, fit_empirical, savings_report
 
 true_dist = Laplace(1.0)
@@ -27,7 +29,8 @@ print(f"sign-test p-value            {diag.sign_pvalue:.3f}  "
       f"(small would reject symmetry)")
 print(f"monotonicity violation mass  {diag.monotonicity_violation_mass:.4f}  "
       f"(density mass moved by the shape fit)")
-print(f"fitted pieces                {fitted.params()['n_pieces']}, "
+print(f"fitted pieces                {fitted.params()['n_pieces']} pooled blocks of "
+      f"{np.unique(np.abs(errors)).size} distinct magnitudes, "
       f"support radius {fitted.params()['support']:.2f}")
 print()
 

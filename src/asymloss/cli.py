@@ -536,6 +536,11 @@ def cmd_simulate(args) -> int:
     offset = 0.0
     try:
         dist, diag = fit_empirical(train)
+    except InsufficientDataError as exc:
+        raise InsufficientDataError(
+            f"the training split holds {n_train} of the {n} errors at "
+            f"--train-frac {args.train_frac:g}: {exc}"
+        ) from None
     except DegenerateDistributionError:
         # No spread in training errors: nothing to correct for.
         degenerate_train = True

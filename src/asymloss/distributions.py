@@ -757,7 +757,7 @@ class EmpiricalSymmetric(ErrorDistribution):
             raise DomainError("breakpoints must be strictly increasing")
         if np.any(h < 0.0):
             raise DomainError("heights must be non-negative")
-        if np.any(np.diff(h) > 1e-9 * max(h.max(initial=0.0), 1.0)):
+        if np.any(np.diff(h) > 1e-9 * h.max(initial=0.0)):
             raise DomainError("heights must be non-increasing away from zero")
 
         # Overflow to inf (and inf - inf to nan) is fine here: the
@@ -785,6 +785,9 @@ class EmpiricalSymmetric(ErrorDistribution):
         self._excess = e  # unchecked, as _cum: partial_moments gates an overflow
 
     def params(self):
+        """``n_pieces``, the number of constant pieces (for a fit, one per
+        pooled block of the monotone fit, so its Grenander knots), and
+        ``support``, the last breakpoint."""
         return {
             "n_pieces": int(self._h.size),
             "support": float(self._t[-1]),
@@ -860,7 +863,9 @@ def fit_empirical(errors, *, min_observations=30):
     The magnitudes |z| are pooled (symmetrization), their empirical CDF
     slopes are projected onto the non-increasing cone (the classical
     shape-constrained maximum-likelihood estimate for a decreasing
-    density), and the result is mirrored around zero.
+    density), and the result is mirrored around zero.  The fit has one
+    piece per pooled block of that projection, so its ``n_pieces`` counts
+    the Grenander knots, not the distinct magnitudes.
 
     Parameters
     ----------
@@ -878,21 +883,21 @@ def fit_empirical(errors, *, min_observations=30):
         sign-symmetric as a multiset, and how much mass the monotone
         projection had to move.
     """
-    z = np.asarray(errors, dtype=float).ravel()
-    if not np.all(np.isfinite(z)):
+    s = np.sort(np.asarray(errors, dtype=float).ravel())
+    n = s.size
+    if n and not (math.isfinite(s[0]) and math.isfinite(s[-1])):  # NaN sorts last
         raise DomainError("errors must be finite")
-    n = z.size
     if n < min_observations:
         raise InsufficientDataError(
             f"need at least {min_observations} observations, got {n}"
         )
 
-    n_pos = int(np.sum(z > 0.0))
-    n_neg = int(np.sum(z < 0.0))
-    n_zero = n - n_pos - n_neg
-
-    mags = np.abs(z)
-    if float(mags.max()) == 0.0:
+    # -0.0 == 0.0, so both zeros fall between the two sign halves.
+    n_neg = int(np.searchsorted(s, 0.0, side="left"))
+    n_nonpos = int(np.searchsorted(s, 0.0, side="right"))
+    n_pos = n - n_nonpos
+    n_zero = n_nonpos - n_neg
+    if n_zero == n:
         raise DegenerateDistributionError("all errors are zero; no spread to model")
 
     n_signed = n_pos + n_neg
@@ -902,19 +907,19 @@ def fit_empirical(errors, *, min_observations=30):
     m = min(n_pos, n_neg)
     sign_p = 1.0 if n_pos == n_neg else min(1.0, 2.0 * _sc.betainc(n_signed - m, m + 1, 0.5))
 
-    pos_sorted = np.sort(z[z > 0.0])
-    neg_sorted = np.sort(-z[z < 0.0])
-    symmetric = pos_sorted.size == neg_sorted.size and bool(
-        np.array_equal(pos_sorted, neg_sorted)
-    )
+    # Each sign half, as magnitudes, is already an ascending run.
+    neg = -s[:n_neg][::-1]
+    pos = s[n_nonpos:]
+    symmetric = n_pos == n_neg and bool(np.array_equal(pos, neg))
+    mags = np.concatenate([neg, pos])
+    mags.sort()  # the default sort merges the two runs faster than timsort
 
     # Grenander step on the magnitudes.  Exact zeros carry no magnitude
     # information; their mass is folded into the first positive bin.
-    values, counts = np.unique(mags, return_counts=True)
-    if values[0] == 0.0:
-        values = values[1:]
-        counts = np.array([counts[0] + counts[1], *counts[2:]])
-    breaks = np.concatenate([[0.0], values])
+    first = np.flatnonzero(np.concatenate([[True], mags[1:] != mags[:-1]]))
+    counts = np.diff(first, append=mags.size)
+    counts[0] += n_zero
+    breaks = np.concatenate([[0.0], mags[first]])
     widths = np.diff(breaks)
     with np.errstate(over="ignore"):
         raw = (counts / n) / widths  # empirical magnitude density per bin
@@ -926,7 +931,9 @@ def fit_empirical(errors, *, min_observations=30):
     iso = optimize.isotonic_regression(raw, weights=widths, increasing=False).x
     violation = 0.5 * float(np.sum(np.abs(raw - iso) * widths))
 
-    dist = EmpiricalSymmetric(breaks, iso / 2.0)
+    # One piece per pooled block: a run of equal fitted heights is one step.
+    block = np.flatnonzero(np.concatenate([[True], iso[1:] != iso[:-1]]))
+    dist = EmpiricalSymmetric(np.append(breaks[block], breaks[-1]), iso[block] / 2.0)
     diag = AssumptionDiagnostics(
         n=n,
         n_positive=n_pos,

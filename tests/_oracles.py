@@ -10,6 +10,10 @@ step density (the uniform law and every fitted ``EmpiricalSymmetric``
 among them) has loss moments and partial moments that are finite sums of
 polynomials, so ``fractions.Fraction`` gives them with no rounding at all.
 
+``fit_empirical_sorts`` is ``fit_empirical`` as three sorts (one per sign
+half, one in ``np.unique``) and one piece per distinct magnitude, the
+reference the one-sort, one-piece-per-block fit is held to.
+
 ``read_error_csv_rows`` is the CLI's error-log reader as a plain row loop
 (``csv`` plus ``float()``), the reference the one-pass reader is held to.
 ``verify_csv_text`` is the verify CSV as ``csv.writer`` writes report rows,
@@ -23,9 +27,16 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
-from asymloss import InequalityReport
+from asymloss import (
+    AssumptionDiagnostics,
+    DegenerateDistributionError,
+    DomainError,
+    InequalityReport,
+    InsufficientDataError,
+    RangeError,
+)
 from asymloss.cli import CliInputError
 
 _ABS = 1e-13
@@ -161,6 +172,52 @@ def relative_error(got, exact):
     """|got - exact| / |exact| in exact arithmetic (|got| when exact is 0)."""
     gap = abs(Fraction(got) - exact)
     return float(gap / abs(exact)) if exact else float(gap)
+
+
+def fit_empirical_sorts(errors, *, min_observations=30):
+    """(breakpoints, heights, diagnostics) of the fit, one piece per raw bin:
+    the breakpoints are 0 and every distinct nonzero magnitude, and each
+    height is half the monotone projection of that bin's density."""
+    z = np.asarray(errors, dtype=float).ravel()
+    if not np.all(np.isfinite(z)):
+        raise DomainError("errors must be finite")
+    n = z.size
+    if n < min_observations:
+        raise InsufficientDataError(f"need at least {min_observations} observations, got {n}")
+    n_pos = int(np.sum(z > 0.0))
+    n_neg = int(np.sum(z < 0.0))
+    mags = np.abs(z)
+    if float(mags.max()) == 0.0:
+        raise DegenerateDistributionError("all errors are zero; no spread to model")
+    n_signed = n_pos + n_neg
+    m = min(n_pos, n_neg)
+    pos_sorted = np.sort(z[z > 0.0])
+    neg_sorted = np.sort(-z[z < 0.0])
+    values, counts = np.unique(mags, return_counts=True)
+    if values[0] == 0.0:
+        values = values[1:]
+        counts = np.array([counts[0] + counts[1], *counts[2:]])
+    breaks = np.concatenate([[0.0], values])
+    widths = np.diff(breaks)
+    with np.errstate(over="ignore"):
+        raw = (counts / n) / widths
+    if not np.all(np.isfinite(raw)):
+        raise RangeError("the fitted density overflows float64: a magnitude bin is too narrow")
+    iso = optimize.isotonic_regression(raw, weights=widths, increasing=False).x
+    diag = AssumptionDiagnostics(
+        n=n,
+        n_positive=n_pos,
+        n_negative=n_neg,
+        n_zero=n - n_pos - n_neg,
+        sign_statistic=float((n_pos - n_neg) / math.sqrt(n_signed) if n_signed else 0.0),
+        sign_pvalue=float(
+            1.0 if n_pos == n_neg else min(1.0, 2.0 * special.betainc(n_signed - m, m + 1, 0.5))
+        ),
+        symmetric_input=pos_sorted.size == neg_sorted.size
+        and bool(np.array_equal(pos_sorted, neg_sorted)),
+        monotonicity_violation_mass=0.5 * float(np.sum(np.abs(raw - iso) * widths)),
+    )
+    return breaks, iso / 2.0, diag
 
 
 def read_error_csv_rows(path):

@@ -858,6 +858,15 @@ class TestSimulate:
         assert code == 2
         capsys.readouterr()
 
+    def test_short_training_split_is_named(self, capsys, tmp_path):
+        path = write_errors(tmp_path / "short.csv", [0.5, -0.25, 1.0])
+        code = main(["simulate", "--input", path, "--k1", "1", "--k2", "3"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the training split holds 1 of the 3 errors at --train-frac 0.5: "
+            "need at least 30 observations, got 1\n"
+        )
+
     def test_lopsided_training_errors(self, capsys, tmp_path):
         values = list(np.abs(Laplace(1.0).sample(400, seed=9)) + 1e-9)
         path = write_errors(tmp_path / "pos.csv", values)
@@ -1092,6 +1101,8 @@ class TestEntryPoint:
         assert (fresh.stdout, fresh.stderr) == (preloaded.stdout, preloaded.stderr)
 
     def test_fit_empirical_imports_optimize_on_use(self):
+        # 20 equal-count bins whose raw heights differ in their last bits:
+        # the monotone fit pools them into 2 blocks, one piece each.
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, numpy as np, asymloss; "
@@ -1101,7 +1112,7 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["20", "True"]
+        assert proc.stdout.split() == ["2", "True"]
 
     def test_no_arguments_is_input_error(self):
         proc = subprocess.run(

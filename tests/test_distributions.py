@@ -7,6 +7,7 @@ forms.
 """
 
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -24,7 +25,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc, gammaln
 from scipy.stats import binomtest, kstest
 
-from _oracles import cdf_quad, moment_quad
+from _oracles import cdf_quad, fit_empirical_sorts, moment_quad
 from _testdists import PdfOnly, Triangular
 from asymloss import (
     SAMPLE_CHUNK,
@@ -884,6 +885,43 @@ class TestEmpiricalSymmetric:
     def test_near_tie_heights_tolerated(self):
         EmpiricalSymmetric([0.0, 1.0, 2.0], [0.2, 0.2 + 1e-12])  # no raise
 
+    @pytest.mark.parametrize("scale", [1e12, 1e-12])
+    def test_increasing_heights_rejected_at_any_scale(self, scale):
+        # The tolerance is relative to the tallest piece: below height 1 an
+        # absolute 1e-9 let a fourfold rise through.
+        with pytest.raises(DomainError):
+            EmpiricalSymmetric([0.0, scale, 2.0 * scale], [0.1 / scale, 0.4 / scale])
+
+
+@st.composite
+def _error_logs(draw):
+    """Error logs with exact zeros, -0.0 and tied magnitudes, and the
+    one-sign, all-zeros-but-one, too-short and non-finite cases."""
+    size = draw(st.integers(25, 70))
+    cell = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.25, -1.25, 3.0]),
+                     st.floats(-1e3, 1e3))
+    z = draw(st.lists(cell, min_size=size, max_size=size))
+    shape = draw(st.sampled_from(["as drawn", "one sign", "mirrored", "zeros but one", "non-finite"]))
+    if shape == "one sign":
+        z = [-abs(v) for v in z] if draw(st.booleans()) else [abs(v) for v in z]
+    elif shape == "mirrored":
+        z = z + [-v for v in z]
+    elif shape == "zeros but one":
+        z = [draw(st.sampled_from([0.0, -0.0])) for _ in z[1:]] + [z[0] or 1.0]
+    elif shape == "non-finite":
+        z[draw(st.integers(0, size - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return np.array(draw(st.permutations(z)))
+
+
+# Seeded logs whose pooled fit is held to the one-piece-per-bin density.
+FIT_LOGS = {
+    "laplace-2000": lambda: Laplace(1.0).sample(2000, 3),
+    "gg0.75-1000": lambda: GeneralizedGaussian(0.75, 1.0).sample(1000, 2),
+    "gg2-rounded": lambda: np.round(GeneralizedGaussian(2.0, 1.0).sample(500, 5), 1),
+    "mirrored-zeros": lambda: np.concatenate(
+        [Laplace(0.5).sample(300, 7), -Laplace(0.5).sample(300, 7), np.zeros(20)]),
+}
+
 
 class TestFitEmpirical:
     def test_two_point_symmetric_sample(self):
@@ -963,3 +1001,53 @@ class TestFitEmpirical:
         z[3] = math.nan
         with pytest.raises(DomainError):
             fit_empirical(z)
+
+    @given(z=_error_logs())
+    @settings(max_examples=300, deadline=None)
+    def test_one_sort_matches_three_sorts(self, z):
+        try:
+            breaks, heights, ref = fit_empirical_sorts(z)
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                fit_empirical(z)
+            return
+        dist, diag = fit_empirical(z)
+        assert repr(diag) == repr(ref)  # bit for bit, -0.0 apart from 0.0
+        # Each fitted piece covers whole raw bins of one projected height,
+        # and no two adjacent pieces share one.
+        knots = dist.breakpoints
+        assert np.all(np.isin(knots, breaks)) and knots[-1] == breaks[-1]
+        piece = np.searchsorted(knots, breaks[1:]) - 1  # the piece holding bin j
+        block = heights[np.searchsorted(piece, np.arange(knots.size - 1))]
+        np.testing.assert_array_equal(heights, block[piece])
+        assert np.all(np.diff(block) < 0.0)
+        assert np.all(np.diff(dist.heights) <= 0.0)
+
+    @pytest.mark.parametrize("log", FIT_LOGS.values(), ids=FIT_LOGS.keys())
+    def test_pooled_pieces_are_the_same_density(self, log):
+        z = log()
+        dist, _ = fit_empirical(z)
+        ref = EmpiricalSymmetric(*fit_empirical_sorts(z)[:2])
+        assert dist.params()["n_pieces"] < ref.params()["n_pieces"]
+        support = ref.breakpoints[-1]
+        x = np.linspace(-1.05 * support, 1.05 * support, 1001)
+
+        def rel(got, exact):
+            exact = np.asarray(exact)
+            return np.max(np.abs(got - exact) / np.where(exact != 0.0, np.abs(exact), 1.0))
+
+        # Bounds as measured on these logs: pdf 0, cdf 4.4e-16, moments 3.8e-15.
+        assert rel(dist.pdf(x), ref.pdf(x)) <= 2.3e-16
+        assert np.max(np.abs(dist.cdf(x) - ref.cdf(x))) <= 5e-16  # 0.5 - mass: absolute
+        got, exact = dist.partial_moments(np.abs(x)), ref.partial_moments(np.abs(x))
+        for side in ("lower", "excess", "upper"):
+            for g, e in zip(getattr(got, side), getattr(exact, side)):
+                assert rel(g, e) <= 4e-15, side
+
+    @pytest.mark.parametrize("e", [-600, -300, 300])
+    def test_fits_construct_at_extreme_scales(self, e):
+        # At 2^600 the magnitudes cubed overflow float64 and the fit is a
+        # RangeError, as for any EmpiricalSymmetric with such breakpoints.
+        z = np.ldexp(GeneralizedGaussian(0.75, 1.0).sample(1000, 2), e)
+        dist, _ = fit_empirical(z)
+        assert dist.params()["support"] == np.max(np.abs(z))

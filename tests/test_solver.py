@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import StepOracle, fractile_root, relative_error
+from _oracles import StepOracle, fit_empirical_sorts, fractile_root, relative_error
 from _testdists import GappedDensity, PdfOnly, Triangular
 from asymloss import (
     CrossCheckError,
@@ -199,6 +199,18 @@ class TestSolutionInvariants:
         fitted = _gg_fit()
         oracle = StepOracle.of(fitted)
         for e in range(-12, 10):
+            params = LossParams(1.0, 10.0 ** e)
+            _assert_exact(solve_offset(fitted, params), oracle, params)
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_fit_exact_against_its_unpooled_density(self, seed):
+        # The fit has one piece per pooled block; the oracle keeps one piece
+        # per distinct magnitude, the same density in rationals.  From 1e9
+        # these fits meet the bounded-support limit below.
+        z = GeneralizedGaussian(0.75, 1.0).sample(1000, seed)
+        fitted = fit_empirical(z)[0]
+        oracle = StepOracle.of(EmpiricalSymmetric(*fit_empirical_sorts(z)[:2]))
+        for e in range(-12, 9):
             params = LossParams(1.0, 10.0 ** e)
             _assert_exact(solve_offset(fitted, params), oracle, params)
 
