@@ -14,14 +14,15 @@ Each family returns all six in one call of its ``_half_moments(x)`` hook,
 as ``(lower, excess)``, so the pieces both sides share are evaluated once.
 Closed forms are used wherever the family admits them: the generalized
 Gaussian reduces to regularized incomplete gamma functions, the Gaussian
-to erf/erfc, the Laplace and uniform families to elementary expressions,
-and the piecewise-constant empirical family to cumulative sums.  A custom
-subclass only has to provide a vectorized ``pdf``; the base class then
-builds, once per instance, a table of Gauss-Legendre panels over the
-density's support and answers every moment and quantile from it: sums of
-whole panels plus one short pass inside the panel that holds the point,
-and a safeguarded Newton-bisection there for quantiles, started at the
-root of the density that is linear between the panel's edge values.
+to erf/erfc, the Laplace and uniform families to elementary expressions.
+The two piecewise densities share one table (``_Piecewise``): the step
+density ``EmpiricalSymmetric``, and the Gauss-Legendre panels that the
+base class builds, once per instance, for a custom subclass that gives
+only a vectorized ``pdf``.  Its sides are summed from their own ends, so
+neither subtracts, and a query adds the two stretches from x to the ends
+of its piece.  A pdf-only quantile is solved inside the panel that holds
+it by Newton steps kept in a bisection bracket, started at the root of
+the density that is linear between the panel's edge values.
 
 Sampling is deterministic and chunked: a draw of n variates is produced in
 fixed-size chunks, chunk i seeded with ``default_rng([seed, i])``, so the
@@ -157,7 +158,8 @@ def _about(x, upper):
 def _shift(d, moments):
     """``moments`` retaken about the point d below their own: non-negative sums."""
     m0, m1, m2 = moments
-    return m0, m1 + d * m0, m2 + d * (2.0 * m1 + d * m0)
+    dm0 = d * m0
+    return m0, m1 + dm0, m2 + d * (2.0 * m1 + dm0)
 
 
 @dataclass(frozen=True)
@@ -190,21 +192,59 @@ def _gauss(values, half):
     return np.sum(values * _GL_WEIGHTS, axis=-1) * half
 
 
-class _PanelTable:
+class _Piecewise:
+    """Partial moments of a density on the pieces [t_j, t_j+1] of breakpoints
+    0 = t_0 < ... < t_n, zero past t_n.  ``_lower[:, j]`` holds the moments
+    about 0 below t_j, summed from the bottom, ``_excess[:, j]`` the mass
+    above t_j about t_j, summed from the top.  A query at x adds the stretch
+    [t_j, x] below, moved to 0, and [x, t_j+1] above, with the mass above
+    t_j+1 moved down to x.  The hook ``_stretch(j, a, b)`` integrates
+    (t - a)^k f over each [a, b] in piece j, k = 0, 1, 2 (three arrays)."""
+
+    def _tabulate(self, t, pieces):
+        """The table at breakpoints t, from each piece's moments about t_j."""
+        self._t = t
+        w = np.diff(t)
+        below = np.cumsum(_shift(t[:-1], pieces), axis=1)
+        self._lower = np.concatenate([np.zeros((3, 1)), below], axis=1)
+        # Each piece plus the mass above it, moved down by its width.
+        e = np.zeros((3, t.size))
+        e[0, :-1] = np.cumsum(pieces[0][::-1])[::-1]
+        e[1, :-1] = np.cumsum((pieces[1] + w * e[0, 1:])[::-1])[::-1]
+        e[2, :-1] = np.cumsum((pieces[2] + w * (2.0 * e[1, 1:] + w * e[0, 1:]))[::-1])[::-1]
+        self._excess = e
+
+    def _piece(self, x):
+        """Index j of the piece that holds each x >= 0 (the last past t_n)."""
+        return np.searchsorted(self._t[:-1], x, side="right") - 1
+
+    def _half_moments(self, x):
+        """(lower, excess) at each entry of x, from one ``_stretch`` call."""
+        t = self._t
+        xi = np.minimum(x, t[-1])
+        j = self._piece(xi)
+        start, stop = t[j], t[j + 1]
+        ends = np.array([start, xi, stop])
+        below, above = zip(*self._stretch(j, ends[:2], ends[1:]))
+        lower = [whole + part for whole, part in zip(self._lower[:, j], _shift(start, below))]
+        moved = _shift(stop - xi, self._excess[:, j + 1])
+        return lower, [part + whole for part, whole in zip(above, moved)]
+
+
+class _PanelTable(_Piecewise):
     """Partial moments and magnitude quantiles of a density given by its pdf.
 
-    [0, end] is covered by Gauss-Legendre panels, where ``end`` is the
-    first point at which the pdf is exactly 0 (a non-increasing density
-    is positive on an interval around 0 and zero past it).  The starting
-    edges double away from the half-height point, so the table does not
-    depend on the scale; then every panel whose 20-node value disagrees
-    with the sum of its halves by more than ``_PANEL_REL`` of that
-    order's total is bisected.  Sums of the panel values from the bottom
-    (``cum``) and from the top (``tail``) serve every query, with one
-    short Gauss-Legendre pass inside the panel that holds the point.  The
-    density at every edge (``edge_density``, one more pdf call) gives each
-    quantile solve its start.  The pdf is only ever called on a 1-D float
-    array.
+    [0, end] is covered by Gauss-Legendre panels, the pieces of the
+    table, where ``end`` is the first point at which the pdf is exactly 0
+    (a non-increasing density is positive on an interval around 0 and
+    zero past it).  The starting edges double away from the half-height
+    point, so the table does not depend on the scale; then every panel
+    whose 20-node moments about 0 disagree with the sums of its halves by
+    more than ``_PANEL_REL`` of that order's total is bisected.  Each
+    panel, and each stretch of a query, is one 20-node pass, its moments
+    taken about the stretch's left end.  The density at every edge
+    (``edge_density``, one more pdf call) gives each quantile solve its
+    start.  The pdf is only ever called on a 1-D float array.
     """
 
     def __init__(self, pdf):
@@ -230,23 +270,15 @@ class _PanelTable:
                 lo = mid
             else:
                 hi = mid
-        self.end = hi
-        with np.errstate(over="ignore"):
-            inner = np.ldexp(anchor, np.arange(-8, 1100))
-        edges = np.concatenate([[0.0], inner[inner < hi], [hi]])
         with np.errstate(over="ignore", invalid="ignore"):
-            self.edges, values = self._refine(edges)
-            self.edge_density = self._density(self.edges)
-        self.cum = np.concatenate([np.zeros((3, 1)), np.cumsum(values, axis=1)], axis=1)
-        self.tail = np.concatenate(
-            [np.cumsum(values[:, ::-1], axis=1)[:, ::-1], np.zeros((3, 1))], axis=1
-        )
-        mass_error = abs(2.0 * self.tail[0, 0] - 1.0)
+            inner = np.ldexp(anchor, np.arange(-8, 1100))
+            edges, pieces = self._refine(np.concatenate([[0.0], inner[inner < hi], [hi]]))
+            self.edge_density = self._density(edges)
+        self._tabulate(edges, pieces)
+        mass_error = abs(2.0 * self._excess[0, 0] - 1.0)
         if not mass_error <= _MASS_TOL:
-            raise NumericError(
-                f"the density's half-line mass is {self.tail[0, 0]!r}, not 1/2",
-                achieved=mass_error,
-            )
+            message = f"the density's half-line mass is {self._excess[0, 0]!r}, not 1/2"
+            raise NumericError(message, achieved=mass_error)
 
     def _density(self, t):
         return np.asarray(self._pdf(t.ravel()), dtype=float).reshape(t.shape)
@@ -254,35 +286,42 @@ class _PanelTable:
     @staticmethod
     def _nodes(a, b):
         """Gauss-Legendre nodes on each [a_i, b_i], one row per interval,
+        their offsets t - a_i (from the half width, without cancelling),
         and the half widths that scale the weights."""
         half = 0.5 * (b - a)
-        return (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES, half
+        h = half[..., None]
+        return (0.5 * (a + b))[..., None] + h * _GL_NODES, h * (1.0 + _GL_NODES), half
 
-    def _moments(self, a, b):
-        """integral_a^b t^k f for k = 0, 1, 2 on each panel, shape (3, n)."""
-        t, half = self._nodes(a, b)
+    def _stretch(self, j, a, b):
+        t, offsets, half = self._nodes(a, b)
         f = self._density(t)
-        return np.stack([_gauss(t ** k * f, half) for k in range(3)])
+        return _gauss(f, half), _gauss(offsets * f, half), _gauss(offsets * offsets * f, half)
 
     def _refine(self, edges):
+        """The refined edges and each panel's moments about its left edge
+        (rows 3-5 of the sums here); rows 0-2, about 0, judge the panel."""
+        def sums(a, b):
+            t, offsets, half = self._nodes(a, b)
+            f = self._density(t)
+            return np.stack([_gauss(v ** k * f, half) for v in (t, offsets) for k in range(3)])
+
         a, b = edges[:-1], edges[1:]
-        whole = self._moments(a, b)
+        whole = sums(a, b)
         done_a, done_v = [], []
-        n_done = 0
         while a.size:
             mid = 0.5 * (a + b)
-            halves = self._moments(np.concatenate([a, mid]), np.concatenate([mid, b]))
+            halves = sums(np.concatenate([a, mid]), np.concatenate([mid, b]))
             left, right = halves[:, : a.size], halves[:, a.size :]
-            totals = sum(v.sum(axis=1) for v in done_v) + (left + right).sum(axis=1)
+            joined = (left + right)[:3]
+            totals = sum(v[:3].sum(axis=1) for v in done_v) + joined.sum(axis=1)
             # A NaN or inf disagreement is kept, not refined: the mass check
             # or the moment tables' finiteness gate reports it.
-            gap = np.abs(whole - (left + right))
+            gap = np.abs(whole[:3] - joined)
             split = np.any(gap > _PANEL_REL * np.abs(totals)[:, None] + _TINY, axis=0)
             split &= (a < mid) & (mid < b)
             done_a.append(a[~split])
             done_v.append(whole[:, ~split])
-            n_done += int(np.sum(~split))
-            if split.any() and n_done + 2 * int(np.sum(split)) > _PANEL_BUDGET:
+            if split.any() and sum(map(len, done_a)) + 2 * int(np.sum(split)) > _PANEL_BUDGET:
                 worst = float(np.max(gap[:, split] / (np.abs(totals)[:, None] + _TINY)))
                 raise NumericError(
                     f"the panel table needs more than {_PANEL_BUDGET} panels", achieved=worst
@@ -291,22 +330,7 @@ class _PanelTable:
             whole = np.concatenate([left[:, split], right[:, split]], axis=1)
         lo = np.concatenate(done_a)
         order = np.argsort(lo)
-        return np.append(lo[order], self.end), np.concatenate(done_v, axis=1)[:, order]
-
-    def moments(self, x):
-        """(lower, upper) moments of orders 0..2 at each entry of x: whole
-        panels summed from the bottom and from the top, plus the stretches
-        from x (clipped to [0, end]) to the two edges of the panel holding
-        it, all from one density pass."""
-        flat = np.minimum(np.asarray(x, dtype=float).ravel(), self.end)
-        j = np.clip(np.searchsorted(self.edges, flat, side="right") - 1, 0, self.edges.size - 2)
-        parts = self._moments(
-            np.concatenate([self.edges[j], flat]), np.concatenate([flat, self.edges[j + 1]])
-        )
-        lower = self.cum[:, j] + parts[:, : flat.size]
-        upper = self.tail[:, j + 1] + parts[:, flat.size :]
-        shape = np.shape(x)
-        return tuple(v.reshape(shape) for v in lower), tuple(v.reshape(shape) for v in upper)
+        return np.append(lo[order], edges[-1]), np.concatenate(done_v, axis=1)[3:, order]
 
     def magnitude_quantile(self, q):
         """Smallest m with P(|Z| <= m) = q.  Levels above 1/2 are solved on
@@ -330,17 +354,17 @@ class _PanelTable:
         # falls to it); the answer is that edge or lies in the panel before.
         i = np.where(
             tail_side,
-            np.searchsorted(-self.tail[0], -target, side="left"),
-            np.searchsorted(self.cum[0], target, side="left"),
+            np.searchsorted(-self._excess[0], -target, side="left"),
+            np.searchsorted(self._lower[0], target, side="left"),
         )
-        i = np.clip(i, 0, self.edges.size - 1)
-        at_edge = np.where(tail_side, self.tail[0, i], self.cum[0, i]) == target
-        j = np.clip(i - 1, 0, self.edges.size - 2)
-        start, stop = self.edges[j], self.edges[j + 1]
+        i = np.clip(i, 0, self._t.size - 1)
+        at_edge = np.where(tail_side, self._excess[0, i], self._lower[0, i]) == target
+        j = np.clip(i - 1, 0, self._t.size - 2)
+        start, stop = self._t[j], self._t[j + 1]
         lo, hi = start.copy(), stop.copy()
         # Residual r(m), increasing in m with slope f(m) on both sides.
-        base = np.where(tail_side, target - self.tail[0, j + 1], self.cum[0, j] - target)
-        mass = self.cum[0, j + 1] - self.cum[0, j]
+        base = np.where(tail_side, target - self._excess[0, j + 1], self._lower[0, j] - target)
+        mass = self._lower[0, j + 1] - self._lower[0, j]
         width = stop - start
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = np.where(tail_side, 1.0 - base / mass, -base / mass)
@@ -360,13 +384,14 @@ class _PanelTable:
         # starts from the constant density instead.
         model = (both > 0.0) & np.isfinite(both) & (u >= 0.0) & (u <= 1.0)
         m = np.where(model, linear, constant)
-        out = np.where(at_edge, self.edges[i], m)
+        out = np.where(at_edge, self._t[i], m)
         active = np.flatnonzero(~at_edge)
         for _ in range(_NEWTON_MAX):
             if not active.size:
                 return out.reshape(q.shape)
             ma, la, ha, ts = m[active], lo[active], hi[active], tail_side[active]
-            t, half = self._nodes(np.where(ts, ma, start[active]), np.where(ts, stop[active], ma))
+            ends = np.where(ts, ma, start[active]), np.where(ts, stop[active], ma)
+            t, _, half = self._nodes(*ends)
             f = self._density(np.concatenate([t.ravel(), ma]))
             part = _gauss(f[: t.size].reshape(t.shape), half)
             slope = f[t.size :]
@@ -421,10 +446,8 @@ class ErrorDistribution:
         return {name: getattr(self, name) for name in _param_names(type(self))}
 
     def _half_moments(self, x):
-        """(lower, excess) for x >= 0, each of x's shape (see the module docstring),
-        from the panel table (its tail summed from the top, accurate far out)."""
-        lower, upper = self._panels().moments(x)
-        return lower, _about(x, upper)
+        """(lower, excess) for x >= 0 (see the module docstring), from the panel table."""
+        return self._panels()._half_moments(x)
 
     def _magnitude_quantile(self, q):
         """Smallest m >= 0 with P(|Z| <= m) = q, from the panel table."""
@@ -731,7 +754,7 @@ class Uniform(ErrorDistribution):
         return self.w * np.asarray(q, dtype=float)
 
 
-class EmpiricalSymmetric(ErrorDistribution):
+class EmpiricalSymmetric(_Piecewise, ErrorDistribution):
     """Symmetrized piecewise-constant density on magnitudes.
 
     ``breakpoints`` is an increasing grid starting at 0; ``heights[j]`` is
@@ -766,23 +789,11 @@ class EmpiricalSymmetric(ErrorDistribution):
             half_mass = float(np.sum(h * np.diff(t)))
             if half_mass <= 0.0:
                 raise DegenerateDistributionError("density has zero total mass")
-            h = h / (2.0 * half_mass)
-            # Order-k integrals of each piece about 0, summed from 0 below x.
-            pieces = [h * np.diff(t ** (k + 1)) / (k + 1.0) for k in range(3)]
-            # E[k, j], the mass above t_j about t_j, is piece j about t_j plus
-            # E[:, j + 1] moved down by its width: no term cancels.
-            w = np.diff(t)
-            own = [h * w, h * w * w / 2.0, h * w * w * w / 3.0]
-            e = np.zeros((3, t.size))
-            e[0, :-1] = np.cumsum(own[0][::-1])[::-1]
-            e[1, :-1] = np.cumsum((own[1] + w * e[0, 1:])[::-1])[::-1]
-            e[2, :-1] = np.cumsum((own[2] + w * (2.0 * e[1, 1:] + w * e[0, 1:]))[::-1])[::-1]
-        if not (math.isfinite(half_mass) and np.all(np.isfinite(pieces))):
+            self._h = h / (2.0 * half_mass)
+            self._tabulate(t, self._stretch(slice(None), t[:-1], t[1:]))
+        # The half-line totals bound every entry of the table.
+        if not (math.isfinite(half_mass) and np.all(np.isfinite(self._excess[:, 0]))):
             raise RangeError("moments of the empirical density are not float64-representable")
-        self._t = t
-        self._h = h
-        self._cum = [np.concatenate([[0.0], np.cumsum(piece)]) for piece in pieces]
-        self._excess = e  # unchecked, as _cum: partial_moments gates an overflow
 
     def params(self):
         """``n_pieces``, the number of constant pieces (for a fit, one per
@@ -801,32 +812,20 @@ class EmpiricalSymmetric(ErrorDistribution):
     def heights(self):
         return self._h.copy()
 
-    def _piece_index(self, ax):
-        idx = np.searchsorted(self._t, ax, side="right") - 1
-        return np.clip(idx, 0, self._h.size - 1)
-
     def pdf(self, x):
-        x = _check_finite("x", x)
-        ax = np.abs(np.asarray(x, dtype=float))
-        j = self._piece_index(ax)
-        out = np.where(ax <= self._t[-1], self._h[j], 0.0)
+        ax = np.abs(_check_finite("x", x))
+        out = np.where(ax <= self._t[-1], self._h[self._piece(ax)], 0.0)
         return _scalar_or_array(out)
 
-    def _half_moments(self, x):
-        xi = np.minimum(np.asarray(x, dtype=float), self._t[-1])
-        j = self._piece_index(xi)
-        h, t_j = self._h[j], self._t[j]
-        r = self._t[j + 1] - xi  # the rest of the piece above x
-        lower, excess = [], []
-        for k, above in enumerate(_shift(r, self._excess[:, j + 1])):
-            n = k + 1.0
-            lower.append(self._cum[k][j] + h * (np.float_power(xi, n) - np.float_power(t_j, n)) / n)
-            excess.append(h * np.float_power(r, n) / n + above)
-        return tuple(lower), tuple(excess)
+    def _stretch(self, j, a, b):
+        # Each power of w multiplies the mass h w: nothing overflows ahead of the product.
+        w = b - a
+        mass = self._h[j] * w
+        return mass, mass * w / 2.0, mass * w * w / 3.0
 
     def _magnitude_quantile(self, q):
         q = np.asarray(q, dtype=float)
-        grid = 2.0 * self._cum[0]  # magnitude CDF at the breakpoints, ends at 1
+        grid = 2.0 * self._lower[0]  # magnitude CDF at the breakpoints, ends at 1
         i = np.searchsorted(grid, q, side="left")
         i = np.clip(i, 0, grid.size - 1)
         exact = grid[i] == q

@@ -223,12 +223,43 @@ class TestSolutionInvariants:
     def test_bounded_support_cross_check_limit(self, make, k2):
         solve_offset(make(), LossParams(1.0, k2))
 
-    @pytest.mark.parametrize("e", [6, 7, 8])
-    def test_uniform_moments_exact_near_the_support_end(self, e):
-        # C lies within 4e-6 (at 1e6) to 4e-8 (at 1e8) of w = 2; the tail
-        # about C is taken directly, not as a difference of moments about 0.
+    @pytest.mark.parametrize("dist, e", [
+        pytest.param(dist, e, id=f"{prefix}{e}")
+        for prefix, dist in [("", Uniform(2.0)), ("pdf_only_", PdfOnly(Uniform(2.0)))]
+        for e in (6, 7, 8, -6, -7, -8)
+    ])
+    def test_uniform_moments_exact_near_the_support_end(self, dist, e):
+        # |C| lies within 4e-6 (at 1e±6) to 4e-8 (at 1e±8) of w = 2; the tail
+        # about C is taken directly, not as a difference of moments about 0,
+        # by the closed form and by the panel table of its pdf alike.
         params = LossParams(1.0, 10.0 ** e)
-        _assert_exact(solve_offset(Uniform(2.0), params), StepOracle.of(Uniform(2.0)), params)
+        _assert_exact(solve_offset(dist, params), StepOracle.of(Uniform(2.0)), params)
+
+    def test_pdf_only_step_density_exact_at_an_extreme_ratio(self):
+        # C lies near the support end, where the tail about C is a small
+        # difference of large moments about 0; the panels keep it exact by
+        # taking each stretch about its own left end.  beta_at_C is left
+        # out: the panels that straddle an interior jump hold it to about
+        # 1e-13 only.
+        base = EmpiricalSymmetric([0.0, 61.0, 105.0, 137.0], [53.0, 50.0, 49.0])
+        sol = solve_offset(PdfOnly(base), LossParams(1.0, 1e-12))
+        mean, var = StepOracle.of(base).loss_stats(1.0, 1e-12, sol.C)
+        assert relative_error(sol.expected_at_C, mean) <= 1e-13
+        assert relative_error(sol.variance_at_C, var) <= 1e-13
+
+    @pytest.mark.parametrize("k", [340, 400, 500])
+    def test_fit_scaled_by_a_power_of_two_solves_exactly(self, k):
+        # Breakpoints past about 5.6e102 overflow t^3, so the moments of
+        # each piece are powers of its width times its mass; the scaled fit
+        # solves, and every answer scales by 2^k or 2^2k to the last bit.
+        z = GeneralizedGaussian(0.75, 1.0).sample(1000, seed=2)
+        params = LossParams(2.0, 11.0)
+        unit = solve_offset(fit_empirical(z)[0], params)
+        scaled = solve_offset(fit_empirical(np.ldexp(z, k))[0], params)
+        powers = {"C": 1, "expected_at_C": 1, "expected_at_zero": 1,
+                  "variance_at_C": 2, "variance_at_zero": 2, "beta_at_C": 2}
+        for name, power in powers.items():
+            assert getattr(scaled, name) == math.ldexp(getattr(unit, name), power * k), name
 
     @given(
         widths=st.lists(st.integers(1, 64), min_size=1, max_size=6),
